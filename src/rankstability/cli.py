@@ -3,24 +3,24 @@
 Every run echoes its full configuration into the output, prints all exact
 values as rational strings, and is deterministic given (config, seed); only
 the content of the "timing" key varies between identical runs.  Exit codes:
-0 all certificates pass, 2 usage error, 3 a certified bound was violated
-(accompanied by a diagnostic dump, since that indicates a bug).
+0 all certificates pass, 2 usage error, 3 a certificate did not pass or a
+certified bound was violated (the latter with a diagnostic dump, since it
+indicates a bug).
 
-The environment variable RSL_THREADS caps worker threads for independent
-cases; report assembly order is always the sorted case order, never
-completion order.
+A sweep entry {"command": "group.sub", "options": {...}} runs any rsl
+subcommand, with options keyed by their flag names; it is parsed by the same
+parser as the command line, and a malformed entry is a usage error (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .compress import random_frame, verify_mult_defect, verify_rank_lower, align_compressions
@@ -50,22 +50,6 @@ from .verma import (
     separation_certificate,
     weyl_twist_scan,
 )
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("RSL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    items = list(items)
-    threads = _thread_count()
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(report: dict, csv_header, csv_rows, out_prefix, stream=None):
@@ -121,21 +105,18 @@ def _cmd_verma_defect(args):
     field = field_from_tag(args.field)
     algebra = build_sl(int(args.algebra[2:]))
     weight = parse_weight(field, args.lam)
-    ns = sorted(int(x) for x in args.n.split(","))
-
-    def one(n):
+    cases = []
+    for n in sorted(int(x) for x in args.n.split(",")):
         rep = build_truncation(algebra, weight, n, field)
         defect = rep.meta["pointwise_defect"]
         bound = epsilon_bound(algebra, n)
-        return {
+        cases.append({
             "n": n,
             "dim": rep.dim,
             "defect": str(defect.value),
             "bound": str(bound),
             "pass": defect.value <= bound,
-        }
-
-    cases = sorted(_pmap(one, ns), key=lambda c: c["n"])
+        })
     report = {
         "config": {"command": "verma defect", "algebra": args.algebra, "lambda": args.lam,
                    "n": args.n, "field": args.field},
@@ -164,8 +145,8 @@ def _cmd_verma_casimir(args):
     for mono in probes:
         vec = {mono: field.one}
         for gen in range(algebra.dim):
-            lhs = module.act_vector(gen, _act_element(module, omega, vec))
-            rhs = _act_element(module, omega, module.act_vector(gen, vec))
+            lhs = module.act_vector(gen, module.act_element(omega, vec))
+            rhs = module.act_element(omega, module.act_vector(gen, vec))
             if lhs != rhs:
                 commutes = False
     report = {
@@ -177,20 +158,6 @@ def _cmd_verma_casimir(args):
         "pass": commutes,
     }
     return report, None, None
-
-
-def _act_element(module, element, vec):
-    out: dict = {}
-    for word, coeff in element.terms.items():
-        part = module.act_word(word, vec)
-        for mono, c in part.items():
-            cur = out.get(mono)
-            s = coeff * c if cur is None else cur + coeff * c
-            if s:
-                out[mono] = s
-            elif cur is not None:
-                del out[mono]
-    return out
 
 
 def _cmd_verma_separate(args):
@@ -205,7 +172,7 @@ def _cmd_verma_separate(args):
         "config": {"command": "verma separate", "algebra": args.algebra,
                    "lambda": args.lam, "mu": args.mu, "n": args.n, "field": args.field},
         "certificate": cert.to_json(),
-        "pass": cert.verdict != "failed",
+        "pass": cert.separated,
     }
     return report, None, None
 
@@ -233,12 +200,10 @@ def _cmd_verma_repdist(args):
     weight = parse_weight(field, args.lam)
     rep = build_truncation(algebra, weight, args.n, field)
     batts = _partition_battery(rep.dim, args.battery, args.seed)
-
-    def one(idx_parts):
-        idx, parts = idx_parts
-        psi = direct_sum_rep(parts, field)
-        cert = rep_distance_certificate(rep, psi)
-        return {
+    cases = []
+    for idx, parts in enumerate(batts):
+        cert = rep_distance_certificate(rep, direct_sum_rep(parts, field))
+        cases.append({
             "case": idx,
             "partition": list(parts),
             "verdict": cert.verdict,
@@ -246,9 +211,7 @@ def _cmd_verma_repdist(args):
             "bound": str(cert.flexible_bound) if cert.flexible_bound is not None else None,
             "basis_max": str(cert.basis_max_distance.value) if cert.basis_max_distance else None,
             "pass": cert.verdict in ("certified", "bound vacuous at this n; increase n"),
-        }
-
-    cases = sorted(_pmap(one, list(enumerate(batts))), key=lambda c: c["case"])
+        })
     report = {
         "config": {"command": "verma repdist", "algebra": args.algebra, "lambda": args.lam,
                    "n": args.n, "field": args.field, "battery": args.battery, "seed": args.seed},
@@ -383,7 +346,7 @@ def _cmd_compress_check(args):
         cases.append(rec)
     # per-trial JSON lines belong to the direct subcommand's stdout, not to
     # batch runs whose stdout is a single report document
-    if getattr(args, "jsonl", False):
+    if args.jsonl:
         for rec in lines:
             print(json.dumps(rec, sort_keys=True))
     report = {
@@ -432,25 +395,45 @@ def _cmd_field_selftest(args):
 # sweep
 
 
-_RUNNERS = {}
+def _entry_args(run) -> argparse.Namespace:
+    """Parse one sweep entry as the argv `group sub --key=value ...`."""
+    if not isinstance(run, dict) or not isinstance(run.get("options", {}), dict):
+        raise ValueError(f"sweep run {run!r} is not an object with an options object")
+    command = run.get("command")
+    parts = command.split(".") if isinstance(command, str) else []
+    if parts[:1] == ["sweep"]:
+        raise ValueError("a sweep run cannot start another sweep")
+    # plain names only, so an entry cannot pass -h or a top-level flag such as --out
+    if len(parts) != 2 or not all(p.isidentifier() for p in parts):
+        raise ValueError(f"sweep command {command!r} is not of the form group.sub")
+    argv = parts + [f"--{str(key).replace('_', '-')}={value}"
+                    for key, value in run.get("options", {}).items()]
+    usage = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(usage):
+            args = build_parser().parse_args(argv)
+    except SystemExit:
+        message = usage.getvalue().strip().rpartition(": error: ")[2]
+        raise ValueError(f"sweep command {command}: {message}") from None
+    args.jsonl = False
+    return args
 
 
 def run_config(config: dict) -> dict:
     """Execute a batch configuration programmatically.
 
     `config` is {"runs": [{"command": "verma.defect", "options": {...}}, ...]}
-    or a single {"command", "options"} record.  The full configuration is
+    or a single {"command", "options"} record.  Every entry is parsed before
+    any runs; a malformed one raises ValueError.  The full configuration is
     echoed into the returned report.
     """
-    runs = config.get("runs") if "runs" in config else [config]
-    sub_reports = []
-    for run in runs:
-        command = run["command"]
-        options = dict(run.get("options", {}))
-        runner, defaults = _RUNNERS[command]
-        ns = argparse.Namespace(**{**defaults, **options})
-        report, _, _ = runner(ns)
-        sub_reports.append(report)
+    if not isinstance(config, dict):
+        raise ValueError("sweep config is not a JSON object")
+    runs = config["runs"] if "runs" in config else [config]
+    if not isinstance(runs, list):
+        raise ValueError('sweep config "runs" is not a list')
+    parsed = [_entry_args(run) for run in runs]
+    sub_reports = [args.func(args)[0] for args in parsed]
     return {
         "config": {"command": "sweep", "echo": config},
         "runs": sub_reports,
@@ -574,28 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     return parser
-
-
-_RUNNERS.update(
-    {
-        "verma.defect": (_cmd_verma_defect, {"algebra": "sl2", "field": "rational"}),
-        "verma.separate": (_cmd_verma_separate, {"algebra": "sl2", "field": "rational"}),
-        "verma.repdist": (
-            _cmd_verma_repdist,
-            {"algebra": "sl2", "field": "rational", "battery": 10, "seed": 1},
-        ),
-        "rolli.defect": (_cmd_rolli_defect, {"field": "rational"}),
-        "rolli.certify": (
-            _cmd_rolli_certify,
-            {"field": "rational", "seed": 1, "conjugates": 20},
-        ),
-        "compress.check": (
-            _cmd_compress_check,
-            {"field": "gf7", "trials": 100, "seed": 1},
-        ),
-        "field.selftest": (_cmd_field_selftest, {"trials": 25, "seed": 1}),
-    }
-)
 
 
 def main(argv=None) -> int:

@@ -728,10 +728,17 @@ class DenseMatrix:
     @classmethod
     def from_text(cls, text: str) -> "DenseMatrix":
         tokens = iter(text.split())
-        rows = int(next(tokens))
-        cols = int(next(tokens))
-        field = field_from_tag(next(tokens))
-        data = [[field.parse_scalar(tokens) for _ in range(cols)] for _ in range(rows)]
+        try:
+            rows = int(next(tokens))
+            cols = int(next(tokens))
+            if rows < 0 or cols < 0:
+                raise ValueError(f"matrix text has a negative shape {rows}x{cols}")
+            field = field_from_tag(next(tokens))
+            data = [[field.parse_scalar(tokens) for _ in range(cols)] for _ in range(rows)]
+        except StopIteration:
+            raise ValueError("matrix text is truncated") from None
+        if next(tokens, None) is not None:
+            raise ValueError("matrix text has tokens after its last entry")
         return cls(field, data)
 
     def __repr__(self):

@@ -451,13 +451,19 @@ def almostrep_from_text(text: str) -> AlmostRep:
     import json
 
     blocks = [b for b in text.split("\n\n") if b.strip()]
-    header = json.loads(blocks[0])
-    algebra = build_sl(int(header["algebra"][2:]))
+    try:
+        header = json.loads(blocks[0])
+        algebra = build_sl(int(header["algebra"][2:]))
+        dim = int(header["dim"])
+    except (IndexError, KeyError, TypeError) as exc:
+        raise ValueError(f"AlmostRep text lacks a header with algebra and dim: {exc!r}") from None
     images = tuple(DenseMatrix.from_text(b) for b in blocks[1:])
+    if len(images) != algebra.dim:
+        raise ValueError(f"AlmostRep text has {len(images)} matrix blocks, not {algebra.dim}")
     field = images[0].field
     meta = {"tag": header.get("tag")}
     if "lambda" in header:
         meta["weight"] = tuple(field.coerce(s) for s in header["lambda"])
     if "n" in header:
         meta["n"] = header["n"]
-    return AlmostRep(algebra, field, int(header["dim"]), images, meta)
+    return AlmostRep(algebra, field, dim, images, meta)

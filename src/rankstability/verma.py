@@ -133,6 +133,13 @@ class VermaModule:
             vec = self.act_vector(gen, vec)
         return vec
 
+    def act_element(self, element: "UEAElement", vec: dict) -> dict:
+        """Apply a sum of scaled words of the enveloping algebra."""
+        out: dict = {}
+        for word, coeff in element.terms.items():
+            out = _merge(out, self.act_word(word, vec), self.field.coerce(coeff))
+        return out
+
     def highest_weight_vector(self) -> dict:
         return {self.zero_monomial: self.field.one}
 
@@ -416,13 +423,8 @@ def central_character_value(
 ):
     """Coefficient of the highest-weight vector in element . v_0, by straightening."""
     module = VermaModule(algebra, weight, field)
-    acc = field.zero
-    for word, coeff in element.terms.items():
-        vec = module.act_word(word, module.highest_weight_vector())
-        c = vec.get(module.zero_monomial)
-        if c:
-            acc = acc + field.coerce(coeff) * c
-    return acc
+    vec = module.act_element(element, module.highest_weight_vector())
+    return vec.get(module.zero_monomial, field.zero)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ elimination kernels: it enumerates square minors by Laplace expansion and
 reports the largest size with a nonvanishing determinant.
 """
 
+import re
 from itertools import combinations
 
 
@@ -42,3 +43,8 @@ def rank_by_minors(matrix) -> int:
                 if det_laplace(sub):
                     return k
     return 0
+
+
+def token_prefixes(text: str) -> list:
+    """The text cut just before each of its whitespace-separated tokens."""
+    return [text[: m.start()] for m in re.finditer(r"\S+", text)]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -44,15 +45,6 @@ def test_deterministic_output_modulo_timing(capsys):
     args = ["rolli", "certify", "--preset", "diag_involution", "--n", "6",
             "--field", "rational", "--seed", "9", "--conjugates", "2"]
     code1, out1, _ = run_cli(capsys, *args)
-    code2, out2, _ = run_cli(capsys, *args)
-    assert code1 == code2 == 0
-    assert strip_timing(out1) == strip_timing(out2)
-
-
-def test_threads_env_does_not_change_output(capsys, monkeypatch):
-    args = ["verma", "defect", "--lambda", "1/2", "--n", "4,6,8"]
-    code1, out1, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("RSL_THREADS", "3")
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert strip_timing(out1) == strip_timing(out2)
@@ -152,3 +144,69 @@ def test_verma_build_serialization_roundtrip(tmp_path, capsys):
     rep = almostrep_from_text(open(rep_path).read())
     assert rep.dim == 4
     assert rep.meta["n"] == 3
+
+
+def test_separate_linked_weights_fails(capsys):
+    # chi(1/2) = chi(-5/2) = 5/4, so the characters cannot separate them
+    code, out, _ = run_cli(capsys, "verma", "separate", "--lambda", "1/2", "--mu=-5/2", "--n", "8")
+    assert code == 3
+    report = strip_timing(out)
+    assert report["pass"] is False
+    assert report["certificate"]["verdict"].startswith("inconclusive")
+
+
+def run_sweep(tmp_path, capsys, config):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    return run_cli(capsys, "sweep", "--config", str(path))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"runs": [{"command": "verma.nosuch", "options": {}}]},
+        {"runs": [{"command": "verma", "options": {"lam": "1/2"}}]},
+        [{"command": "verma.defect", "options": {"lam": "1/2", "n": "4"}}],
+        {"runs": {"command": "verma.defect", "options": {"lam": "1/2", "n": "4"}}},
+        {"runs": ["verma.defect"]},
+        {"runs": [{"command": "verma.defect", "options": {"lam": "1/2", "n": "4", "colour": 1}}]},
+        {"runs": [{"command": "verma.separate", "options": {"mu": "1/3", "n": 16}}]},
+        {"runs": [{"command": "sweep", "options": {"config": "sweep.json"}}]},
+        {"runs": [{"command": "verma.separate", "options": {"lam": "1/2", "mu": "1/3", "n": "abc"}}]},
+    ],
+    ids=["unknown-command", "no-subcommand", "non-object-config", "runs-not-list",
+         "run-not-object", "unknown-option", "missing-lam", "nested-sweep", "bad-int"],
+)
+def test_malformed_sweep_is_usage_error(tmp_path, capsys, config):
+    code, out, err = run_sweep(tmp_path, capsys, config)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_sweep_parses_option_strings(tmp_path, capsys):
+    options = {"lam": "1/2", "mu": "1/3", "n": "16"}
+    code, out, _ = run_sweep(tmp_path, capsys, {"runs": [{"command": "verma.separate", "options": options}]})
+    assert code == 0
+    (run,) = strip_timing(out)["runs"]
+    assert run["config"]["n"] == 16
+    assert run["pass"] is True
+
+
+def test_sweep_example_matches_direct_runs(capsys):
+    path = Path(__file__).resolve().parents[1] / "demos" / "sweep_example.json"
+    config = json.loads(path.read_text())
+    code, out, _ = run_cli(capsys, "sweep", "--config", str(path))
+    assert code == 0
+    runs = strip_timing(out)["runs"]
+    assert len(runs) == len(config["runs"])
+    for entry, swept in zip(config["runs"], runs):
+        argv = entry["command"].split(".")
+        for key, value in entry["options"].items():
+            argv.append(f"--{'lambda' if key == 'lam' else key}={value}")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        if entry["command"] == "compress.check":
+            out = out[out.index("{\n"):]  # drop the per-trial JSON lines
+        assert strip_timing(out) == swept

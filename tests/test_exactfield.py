@@ -18,7 +18,7 @@ from rankstability import (
 from rankstability.exactfield import field_from_tag, hstack, vstack
 from rankstability.prng import random_invertible, random_matrix
 
-from conftest import rank_by_minors
+from conftest import rank_by_minors, token_prefixes
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +285,23 @@ def test_text_roundtrip_gaussian_signs():
     text = m.to_text()
     assert "i" in text
     assert DenseMatrix.from_text(text) == m
+
+
+@pytest.mark.parametrize("text", ["", "2", "2 2", "2 2 rational\n1 2 3", "1 1 gaussian\n1/2",
+                                  "1 1 rational\n1 2", "-1 2 rational"])
+def test_malformed_text_raises_value_error(text):
+    with pytest.raises(ValueError):
+        DenseMatrix.from_text(text)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([QQ, QQI, GF(7)]), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 2**32))
+def test_truncated_text_raises_value_error(field, rows, cols, seed):
+    text = random_matrix(field, XorShift64Star(seed), rows, cols).to_text()
+    for prefix in token_prefixes(text):
+        with pytest.raises(ValueError):
+            DenseMatrix.from_text(prefix)
 
 
 def test_immutability_and_hash():

@@ -2,8 +2,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankstability import (
+    GF,
     DenseMatrix,
     QQ,
     QQI,
@@ -17,6 +20,8 @@ from rankstability import (
 )
 from rankstability.liealg import AlmostRep, almostrep_from_text, almostrep_to_text
 from rankstability.verma import build_truncation
+
+from conftest import token_prefixes
 
 
 def defining_rep(r, field=QQ):
@@ -217,3 +222,20 @@ def test_almostrep_text_roundtrip():
     assert back.images == rep.images
     assert back.meta["weight"] == rep.meta["weight"]
     assert back.meta["n"] == 3
+
+
+@pytest.mark.parametrize("text", ["", "{}", "[]", '{"algebra": "sl2", "dim": 2}',
+                                  '{"algebra": "sl2", "dim": 1}\n\n1 1 rational\n0'])
+def test_almostrep_malformed_text_raises_value_error(text):
+    with pytest.raises(ValueError):
+        almostrep_from_text(text)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), st.integers(2, 4), st.integers(-5, 5), st.integers(1, 3))
+def test_almostrep_truncated_text_raises_value_error(field, n, num, den):
+    rep = build_truncation(build_sl(2), (Fraction(num, den),), n, field)
+    text = almostrep_to_text(rep)
+    for prefix in token_prefixes(text):
+        with pytest.raises(ValueError):
+            almostrep_from_text(prefix)

@@ -206,6 +206,25 @@ def test_sl2_character_values():
     assert central_character_value(SL2, omega, (Fraction(0),)) == 0
 
 
+def test_act_element_sums_scaled_words():
+    module = VermaModule(SL2, HALF)
+    element = UEAElement({(2, 0): 3, (1,): -1, (): 2})
+    vec = {(1,): Fraction(1), (2,): Fraction(-1, 2)}
+    expected = {}
+    for word, coeff in element.terms.items():
+        for mono, c in module.act_word(word, vec).items():
+            expected[mono] = expected.get(mono, 0) + coeff * c
+    assert module.act_element(element, vec) == {m: c for m, c in expected.items() if c}
+
+
+def test_casimir_acts_by_its_character():
+    module = VermaModule(SL2, HALF)
+    omega = casimir(SL2)
+    chi = central_character_value(SL2, omega, HALF)
+    for mono in [(0,), (1,), (3,)]:
+        assert module.act_element(omega, {mono: Fraction(1)}) == {mono: chi}
+
+
 def test_sl2_linkage():
     omega = casimir(SL2)
     rng = XorShift64Star(21)
