@@ -453,6 +453,13 @@ def _cmd_sweep(args):
 # argument parsing
 
 
+def _count(text: str) -> int:
+    """Argparse type of a count option: a count below 1 would run no cases."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rsl",
@@ -495,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("repdist")
     add_common(p)
-    p.add_argument("--battery", type=int, default=10)
+    p.add_argument("--battery", type=_count, default=10)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_verma_repdist)
 
@@ -503,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--field", default="rational")
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_count, default=5)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_verma_weyl)
 
@@ -528,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = rsub.add_parser("certify")
     add_rolli(p)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--conjugates", type=int, default=20)
+    p.add_argument("--conjugates", type=_count, default=20)
     p.set_defaults(func=_cmd_rolli_certify)
 
     p = rsub.add_parser("pullback")
@@ -540,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = csub.add_parser("check")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_count, default=100)
     p.add_argument("--field", default="gf7")
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_compress_check, jsonl=True)
@@ -548,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     fld = sub.add_parser("field", help="scalar and rank kernel checks")
     fsub = fld.add_subparsers(dest="subcommand", required=True)
     p = fsub.add_parser("selftest")
-    p.add_argument("--trials", type=int, default=25)
+    p.add_argument("--trials", type=_count, default=25)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_field_selftest)
 

@@ -10,6 +10,11 @@ Rank over Q and Q(i) runs fraction-free (Bareiss) elimination on row-scaled
 integer (or Gaussian-integer) matrices, which keeps intermediate entries as
 minors of the input instead of letting numerators and denominators compound.
 Rank over GF(p) is ordinary modular elimination.
+
+The public ``DenseMatrix(field, rows)``, ``map_entries`` and ``from_text`` are
+the coercion boundary.  Every matrix a kernel method builds itself is wrapped
+from entries that are already field elements, without coercing them again,
+and sums, differences and eliminations skip zero operands.
 """
 
 from __future__ import annotations
@@ -447,7 +452,10 @@ class DenseMatrix:
     """Immutable dense matrix over an exact field.
 
     Entries are stored row-major as a tuple of row tuples.  All operations
-    return new matrices; instances are safe to share between threads.
+    return new matrices; instances are safe to share between threads.  The
+    constructor coerces every entry into the field; kernel results come from
+    ``_from_rows``, which trusts its field elements and keeps the column
+    count of matrices without rows.
     """
 
     __slots__ = ("field", "rows", "cols", "_data")
@@ -466,22 +474,30 @@ class DenseMatrix:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _from_rows(cls, field: ExactField, rows, cols: int) -> "DenseMatrix":
+        """Wrap rows of `cols` elements of `field` without coercing or checking."""
+        m = object.__new__(cls)
+        m.field, m.cols, m._data = field, cols, tuple(map(tuple, rows))
+        m.rows = len(m._data)
+        return m
+
+    @classmethod
     def identity(cls, field: ExactField, n: int) -> "DenseMatrix":
         one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        return cls._from_rows(field, rows, n)
 
     @classmethod
     def zeros(cls, field: ExactField, rows: int, cols: int) -> "DenseMatrix":
-        zero = field.zero
-        return cls(field, [[zero] * cols for _ in range(rows)])
+        return cls._from_rows(field, [(field.zero,) * cols] * rows, cols)
 
     @classmethod
     def diagonal(cls, field: ExactField, entries) -> "DenseMatrix":
         entries = [field.coerce(x) for x in entries]
         n = len(entries)
         zero = field.zero
-        return cls(
-            field, [[entries[i] if i == j else zero for j in range(n)] for i in range(n)]
+        return cls._from_rows(
+            field, [[entries[i] if i == j else zero for j in range(n)] for i in range(n)], n
         )
 
     @classmethod
@@ -489,7 +505,7 @@ class DenseMatrix:
         zero = field.zero
         data = [[zero] * cols for _ in range(rows)]
         data[i][j] = field.coerce(value)
-        return cls(field, data)
+        return cls._from_rows(field, data, cols)
 
     # -- access --------------------------------------------------------------
 
@@ -526,32 +542,36 @@ class DenseMatrix:
         self._check_same(other)
         if self.shape != other.shape:
             raise DimensionMismatch(f"{self.shape} + {other.shape}")
-        return DenseMatrix(
+        return self._from_rows(
             self.field,
             [
-                [a + b for a, b in zip(ra, rb)]
+                [a + b if b else a for a, b in zip(ra, rb)]
                 for ra, rb in zip(self._data, other._data)
             ],
+            self.cols,
         )
 
     def __sub__(self, other):
         self._check_same(other)
         if self.shape != other.shape:
             raise DimensionMismatch(f"{self.shape} - {other.shape}")
-        return DenseMatrix(
+        return self._from_rows(
             self.field,
             [
-                [a - b for a, b in zip(ra, rb)]
+                [a - b if b else a for a, b in zip(ra, rb)]
                 for ra, rb in zip(self._data, other._data)
             ],
+            self.cols,
         )
 
     def __neg__(self):
-        return DenseMatrix(self.field, [[-a for a in row] for row in self._data])
+        rows = [[-a if a else a for a in row] for row in self._data]
+        return self._from_rows(self.field, rows, self.cols)
 
     def scale(self, c):
         c = self.field.coerce(c)
-        return DenseMatrix(self.field, [[c * a for a in row] for row in self._data])
+        rows = [[c * a if a else a for a in row] for row in self._data]
+        return self._from_rows(self.field, rows, self.cols)
 
     def __mul__(self, other):
         if isinstance(other, DenseMatrix):
@@ -559,27 +579,23 @@ class DenseMatrix:
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.shape} * {other.shape}")
             zero = self.field.zero
-            brows = other._data
+            nonzeros = [[(j, b) for j, b in enumerate(brow) if b] for brow in other._data]
             out = []
             for arow in self._data:
                 acc = [zero] * other.cols
-                for k, a in enumerate(arow):
+                for a, bnz in zip(arow, nonzeros):
                     if a:
-                        brow = brows[k]
-                        for j, b in enumerate(brow):
-                            if b:
-                                acc[j] = acc[j] + a * b
+                        for j, b in bnz:
+                            acc[j] = acc[j] + a * b
                 out.append(acc)
-            return DenseMatrix(self.field, out)
+            return self._from_rows(self.field, out, other.cols)
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def transpose(self):
-        if not self.rows:
-            return DenseMatrix(self.field, [[] for _ in range(self.cols)])
-        return DenseMatrix(self.field, list(zip(*self._data)))
+        return self._from_rows(self.field, list(zip(*self._data)) or [()] * self.cols, self.rows)
 
     def trace(self):
         if self.rows != self.cols:
@@ -611,22 +627,23 @@ class DenseMatrix:
         zero = self.field.zero
         out = []
         for row in self._data:
-            out.append(list(row) + [zero] * other.cols)
+            out.append(row + (zero,) * other.cols)
         for row in other._data:
-            out.append([zero] * self.cols + list(row))
-        return DenseMatrix(self.field, out)
+            out.append((zero,) * self.cols + row)
+        return self._from_rows(self.field, out, self.cols + other.cols)
 
     def pad(self, rows: int, cols: int) -> "DenseMatrix":
         """Embed into the top-left corner of a rows-by-cols zero matrix."""
         if rows < self.rows or cols < self.cols:
             raise DimensionMismatch("pad target is smaller than the matrix")
         zero = self.field.zero
-        out = [list(row) + [zero] * (cols - self.cols) for row in self._data]
-        out += [[zero] * cols for _ in range(rows - self.rows)]
-        return DenseMatrix(self.field, out)
+        out = [row + (zero,) * (cols - self.cols) for row in self._data]
+        out += [(zero,) * cols] * (rows - self.rows)
+        return self._from_rows(self.field, out, cols)
 
     def map_entries(self, fn, field: ExactField | None = None) -> "DenseMatrix":
-        return DenseMatrix(field or self.field, [[fn(a) for a in row] for row in self._data])
+        f = field or self.field
+        return self._from_rows(f, [[f.coerce(fn(a)) for a in row] for row in self._data], self.cols)
 
     # -- elimination kernels ---------------------------------------------------
 
@@ -650,7 +667,7 @@ class DenseMatrix:
         """Reduced row echelon form; returns (matrix, pivot column tuple)."""
         rows = self.row_lists()
         pivots = _rref_in_place(rows, self.field)
-        return DenseMatrix(self.field, rows), tuple(pivots)
+        return self._from_rows(self.field, rows, self.cols), tuple(pivots)
 
     def inverse(self) -> "DenseMatrix":
         if self.rows != self.cols:
@@ -664,7 +681,7 @@ class DenseMatrix:
         pivots = _rref_in_place(aug, self.field)
         if len(pivots) < n or any(p >= n for p in pivots):
             raise SingularMatrixError("matrix is singular")
-        return DenseMatrix(self.field, [row[n:] for row in aug])
+        return self._from_rows(self.field, [row[n:] for row in aug], n)
 
     def kernel_basis(self) -> "DenseMatrix":
         """Matrix whose columns span the right null space.
@@ -684,19 +701,14 @@ class DenseMatrix:
             for r, pc in enumerate(pivots):
                 vec[pc] = -rows[r][fc]
             cols.append(vec)
-        if not cols:
-            return DenseMatrix(self.field, [[] for _ in range(self.cols)])
-        return DenseMatrix(self.field, list(zip(*cols)))
+        return self._from_rows(self.field, list(zip(*cols)) or [()] * self.cols, len(cols))
 
     def column_space_basis(self) -> "DenseMatrix":
         """Original columns indexed by the pivot columns of the RREF."""
         rows = self.row_lists()
         pivots = _rref_in_place(rows, self.field)
-        if not pivots:
-            return DenseMatrix(self.field, [[] for _ in range(self.rows)])
-        return DenseMatrix(
-            self.field, [[row[j] for j in pivots] for row in self._data]
-        )
+        basis = [[row[j] for j in pivots] for row in self._data]
+        return self._from_rows(self.field, basis, len(pivots))
 
     def solve_right(self, rhs: "DenseMatrix") -> "DenseMatrix":
         """Some X with self * X = rhs, or ValueError when inconsistent."""
@@ -714,7 +726,7 @@ class DenseMatrix:
         for r, pc in enumerate(pivots):
             for j in range(w):
                 out[pc][j] = aug[r][n + j]
-        return DenseMatrix(self.field, out)
+        return self._from_rows(self.field, out, w)
 
     # -- text format -----------------------------------------------------------
 
@@ -734,12 +746,13 @@ class DenseMatrix:
             if rows < 0 or cols < 0:
                 raise ValueError(f"matrix text has a negative shape {rows}x{cols}")
             field = field_from_tag(next(tokens))
+            # parse_scalar is the text format's coercion: it yields field elements
             data = [[field.parse_scalar(tokens) for _ in range(cols)] for _ in range(rows)]
         except StopIteration:
             raise ValueError("matrix text is truncated") from None
         if next(tokens, None) is not None:
             raise ValueError("matrix text has tokens after its last entry")
-        return cls(field, data)
+        return cls._from_rows(field, data, cols)
 
     def __repr__(self):
         f = self.field
@@ -760,8 +773,8 @@ def hstack(mats) -> DenseMatrix:
             raise DimensionMismatch("hstack row counts differ")
         if m.field != field:
             raise FieldMismatch("hstack over mixed fields")
-    data = [sum((list(m.row(i)) for m in mats), []) for i in range(nrows)]
-    return DenseMatrix(field, data)
+    data = [sum((m.row(i) for m in mats), ()) for i in range(nrows)]
+    return DenseMatrix._from_rows(field, data, sum(m.cols for m in mats))
 
 
 def vstack(mats) -> DenseMatrix:
@@ -774,8 +787,8 @@ def vstack(mats) -> DenseMatrix:
             raise DimensionMismatch("vstack column counts differ")
         if m.field != field:
             raise FieldMismatch("vstack over mixed fields")
-        data.extend(list(row) for row in m._data)
-    return DenseMatrix(field, data)
+        data.extend(m._data)
+    return DenseMatrix._from_rows(field, data, ncols)
 
 
 # -- elimination internals ------------------------------------------------------
@@ -801,11 +814,11 @@ def _rref_in_place(rows, field) -> list[int]:
         rows[r], rows[p] = rows[p], rows[r]
         piv = rows[r][c]
         if piv != field.one:
-            rows[r] = [a / piv for a in rows[r]]
+            rows[r] = [a / piv if a else a for a in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c]:
                 m = rows[i][c]
-                rows[i] = [a - m * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a - m * b if b else a for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     return pivots

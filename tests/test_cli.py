@@ -185,6 +185,32 @@ def test_malformed_sweep_is_usage_error(tmp_path, capsys, config):
     assert "Traceback" not in err
 
 
+COUNT_OPTIONS = [
+    ("field.selftest", {}, "trials"),
+    ("verma.weyl", {"lambda": "1/2", "n": 4}, "trials"),
+    ("verma.repdist", {"lambda": "1/2", "n": 4}, "battery"),
+    ("rolli.certify", {"n": 4}, "conjugates"),
+    ("compress.check", {"n": 4, "k": 2}, "trials"),
+]
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "two"])
+@pytest.mark.parametrize("command, options, count", COUNT_OPTIONS,
+                         ids=[f"{c}-{k}" for c, _, k in COUNT_OPTIONS])
+def test_count_options_reject_values_below_one(tmp_path, capsys, command, options, count, value):
+    argv = command.split(".") + [f"--{key}={v}" for key, v in options.items()]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--{count}", value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(f"--{count}: {value} is not a positive integer")
+    code, out, err = run_sweep(tmp_path, capsys, {"runs": [{"command": command, "options": {**options, count: value}}]})
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "is not a positive integer" in err
+
+
 def test_sweep_parses_option_strings(tmp_path, capsys):
     options = {"lam": "1/2", "mu": "1/3", "n": "16"}
     code, out, _ = run_sweep(tmp_path, capsys, {"runs": [{"command": "verma.separate", "options": options}]})

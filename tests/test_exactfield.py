@@ -9,6 +9,7 @@ from rankstability import (
     QQ,
     QQI,
     DenseMatrix,
+    FpElement,
     GaussianRational,
     PrimeDenominatorError,
     SingularMatrixError,
@@ -310,3 +311,107 @@ def test_immutability_and_hash():
     assert a == b and hash(a) == hash(b)
     with pytest.raises(TypeError):
         a._data[0][0] = 5  # tuples reject item assignment
+
+
+# ---------------------------------------------------------------------------
+# kernel fast paths: zero skipping and uncoerced results
+
+
+FIELDS = [QQ, GF(7), QQI]
+
+
+@st.composite
+def scalars(draw, field, density):
+    """A field element that is nonzero with probability about density / 4."""
+    if draw(st.integers(0, 3)) >= density:
+        return field.zero
+    if field == QQI:
+        re, im = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any))
+        return GaussianRational(Fraction(re, draw(st.integers(1, 3))), im)
+    num = draw(st.integers(-5, 5).filter(bool))
+    return field.coerce(Fraction(num, draw(st.integers(1, 4)) if field == QQ else 1))
+
+
+@st.composite
+def matrices(draw, field, rows, cols):
+    density = draw(st.integers(0, 4))  # 0: all zero ... 4: no zero entries
+    if not rows:  # a list of no rows cannot carry a column count
+        return DenseMatrix.zeros(field, 0, cols)
+    return DenseMatrix(field, [[draw(scalars(field, density)) for _ in range(cols)]
+                               for _ in range(rows)])
+
+
+@st.composite
+def kernel_cases(draw):
+    field = draw(st.sampled_from(FIELDS))
+    r, k, c = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return (field, draw(matrices(field, r, k)), draw(matrices(field, r, k)),
+            draw(matrices(field, k, c)), draw(matrices(field, k, k)))
+
+
+def reference_product(a, b):
+    """Schoolbook product over every index, zeros included."""
+    zero = a.field.zero
+    return [[sum((a.entry(i, t) * b.entry(t, j) for t in range(a.cols)), zero)
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_kernels_match_entrywise_reference(case):
+    field, a, b, c, sq = case
+    rows_a, rows_b = a.row_lists(), b.row_lists()
+    two = field.from_int(2)
+    assert (a + b).row_lists() == [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(rows_a, rows_b)]
+    assert (a - b).row_lists() == [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(rows_a, rows_b)]
+    assert (-a).row_lists() == [[-x for x in ra] for ra in rows_a]
+    assert a.scale(two).row_lists() == [[two * x for x in ra] for ra in rows_a]
+    assert (a * c).row_lists() == reference_product(a, c)
+    assert (a * c).shape == (a.rows, c.cols)
+    for m, x in ((a, c), (sq, c), (c, c.transpose())):
+        assert m.rank() == rank_by_minors(m)
+        kernel = m.kernel_basis()
+        assert kernel.shape == (m.cols, m.cols - m.rank())
+        assert (m * kernel).is_zero()
+        assert m * m.solve_right(m * x) == m * x
+    if sq.rank() == sq.rows:
+        assert sq * sq.inverse() == DenseMatrix.identity(field, sq.rows)
+    else:
+        with pytest.raises(SingularMatrixError):
+            sq.inverse()
+
+
+def assert_field_elements(m, field):
+    kind = {QQ: Fraction, QQI: GaussianRational}.get(field, FpElement)
+    for row in m.row_lists():
+        for x in row:
+            assert type(x) is kind
+            assert kind is not FpElement or x.p == field.p
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_cases())
+def test_kernel_results_hold_field_elements(case):
+    field, a, b, c, sq = case
+    results = [a + b, a - b, -a, a.scale(3), 3 * a, a * 2, a * c, a.transpose(), a.direct_sum(c),
+               a.pad(a.rows + 1, a.cols + 2), a.rref()[0], a.kernel_basis(), a.column_space_basis(),
+               a.solve_right(a * c), hstack([a, b]), vstack([a, b]), a.map_entries(lambda x: x * 2),
+               DenseMatrix.identity(field, 3), DenseMatrix.zeros(field, 2, 3),
+               DenseMatrix.diagonal(field, [1, 0, -2]), DenseMatrix.elementary(field, 2, 3, 1, 2, 5),
+               DenseMatrix.from_text(a.to_text())]
+    if sq.rank() == sq.rows:
+        results.append(sq.inverse())
+    for m in results:
+        assert_field_elements(m, field)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
+def test_empty_shapes_survive(field, rows, cols):
+    m = DenseMatrix.zeros(field, rows, cols)
+    assert m.shape == (rows, cols)
+    assert m.transpose().shape == (cols, rows)
+    assert m.transpose().transpose() == m
+    for mat in (m, m.transpose()):
+        back = DenseMatrix.from_text(mat.to_text())
+        assert back.shape == mat.shape and back == mat
