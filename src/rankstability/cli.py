@@ -261,7 +261,7 @@ def _cmd_rolli_defect(args):
 def _cmd_rolli_witness(args):
     field = field_from_tag(args.field)
     tau = preset_tau(args.preset, args.n, field)
-    t = args.t or default_witness_exponent(tau)
+    t = default_witness_exponent(tau) if args.t is None else args.t
     w = witness_word(t)
     value = Fraction((phi_eval(w, tau) - DenseMatrix.identity(field, args.n)).rank(), args.n)
     report = {
@@ -529,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = rsub.add_parser("witness")
     add_rolli(p)
-    p.add_argument("--t", type=int, help="witness exponent (defaults per preset)")
+    p.add_argument("--t", type=_count, help="witness exponent (defaults per preset)")
     p.set_defaults(func=_cmd_rolli_witness)
 
     p = rsub.add_parser("certify")

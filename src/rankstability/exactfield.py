@@ -53,6 +53,14 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def _parse_fraction(text: str) -> Fraction:
+    """A rational scalar from text; a zero denominator is malformed input."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+
+
 class GaussianRational:
     """An element re + im*i of Q(i), stored as a pair of reduced fractions."""
 
@@ -235,7 +243,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
@@ -308,7 +316,7 @@ class RationalField(ExactField):
         if isinstance(x, int):
             return Fraction(x)
         if isinstance(x, str):
-            return Fraction(x)
+            return _parse_fraction(x)
         if isinstance(x, GaussianRational):
             if x.im:
                 raise ValueError(f"{x} has a nonzero imaginary part")
@@ -319,7 +327,7 @@ class RationalField(ExactField):
         return str(x)
 
     def parse_scalar(self, tokens):
-        return Fraction(next(tokens))
+        return _parse_fraction(next(tokens))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -353,10 +361,8 @@ class GaussianRationalField(ExactField):
         # "re+im" or "re-im" with the sign separating the two reduced fractions.
         for pos in range(1, len(tok)):
             if tok[pos] in "+-" and tok[pos - 1] not in "+-":
-                re = Fraction(tok[:pos])
-                im = Fraction(tok[pos:])
-                return GaussianRational(re, im)
-        return GaussianRational(Fraction(tok))
+                return GaussianRational(_parse_fraction(tok[:pos]), _parse_fraction(tok[pos:]))
+        return GaussianRational(_parse_fraction(tok))
 
     def format_scalar(self, x) -> str:
         sign = "+" if x.im >= 0 else "-"
@@ -640,6 +646,11 @@ class DenseMatrix:
         out = [row + (zero,) * (cols - self.cols) for row in self._data]
         out += [(zero,) * cols] * (rows - self.rows)
         return self._from_rows(self.field, out, cols)
+
+    def submatrix(self, rows, cols) -> "DenseMatrix":
+        """The entries at the given row and column indices, in the given order."""
+        cols = list(cols)
+        return self._from_rows(self.field, [[self._data[i][j] for j in cols] for i in rows], len(cols))
 
     def map_entries(self, fn, field: ExactField | None = None) -> "DenseMatrix":
         f = field or self.field
@@ -960,19 +971,4 @@ def modular_rank_certificate(matrix: DenseMatrix, primes) -> int:
     primes = list(primes)
     if not primes:
         raise ValueError("no primes supplied")
-    best = 0
-    for p in primes:
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        rows = []
-        for row in matrix._data:
-            out = []
-            for a in row:
-                if a.denominator % p == 0:
-                    raise PrimeDenominatorError(
-                        f"prime {p} divides denominator of entry {a}"
-                    )
-                out.append(a.numerator * pow(a.denominator, -1, p) % p)
-            rows.append(out)
-        best = max(best, _rank_gf(rows, p))
-    return best
+    return max(matrix.map_entries(lambda a: a, GF(p)).rank() for p in primes)

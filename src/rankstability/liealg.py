@@ -47,17 +47,6 @@ __all__ = [
 ]
 
 
-def _int_matrix_mul(a, b, r):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(r)) for j in range(r))
-        for i in range(r)
-    )
-
-
-def _int_matrix_sub(a, b, r):
-    return tuple(tuple(a[i][j] - b[i][j] for j in range(r)) for i in range(r))
-
-
 class ChevalleyBasis:
     """The ordered basis of sl_r together with its structure constant table."""
 
@@ -110,15 +99,10 @@ class ChevalleyBasis:
         )
 
         self._table: dict[tuple[int, int], dict[int, int]] = {}
+        mats = [DenseMatrix(QQ, m) for m in self.matrices]
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                comm = _int_matrix_sub(
-                    _int_matrix_mul(self.matrices[i], self.matrices[j], r),
-                    _int_matrix_mul(self.matrices[j], self.matrices[i], r),
-                    r,
-                )
-                coords = self._coords_int(comm)
-                entry = {k: c for k, c in coords.items() if c}
+                entry = self.coordinates_of(mats[i] * mats[j] - mats[j] * mats[i])
                 self._table[(i, j)] = entry
                 self._table[(j, i)] = {k: -c for k, c in entry.items()}
             self._table[(i, i)] = {}

@@ -208,12 +208,16 @@ class TauFamily:
             self._map[j] = mat
         ident = DenseMatrix.identity(field, n)
         self._identity = ident
-        self._deltas: dict[int, dict] = {}
+        self._moved: dict[int, frozenset] = {}
         for j, mat in sorted(self._map.items()):
             if -j not in self._map:
                 raise ValueError(f"support is not symmetric: {j} present, {-j} missing")
-            if (mat - ident).rank() > 1:
+            delta = mat - ident
+            if delta.rank() > 1:
                 raise ValueError(f"tau({j}) is not within rank one of the identity")
+            self._moved[j] = frozenset(
+                i for i in range(n) if any(delta.row(i)) or any(delta.column(i))
+            )
         for j in sorted(self._map):
             if j > 0 and self._map[j] * self._map[-j] != ident:
                 raise ValueError(f"tau({j}) and tau({-j}) are not inverse")
@@ -225,22 +229,9 @@ class TauFamily:
             return self._identity
         return self._map.get(j, self._identity)
 
-    def delta(self, j: int) -> dict:
-        """Sparse rows of tau(j) - I, cached."""
-        d = self._deltas.get(j)
-        if d is None:
-            d = {}
-            mat = self.tau(j)
-            for i in range(self.n):
-                row = {}
-                for c in range(self.n):
-                    v = mat.entry(i, c) - (self.field.one if i == c else self.field.zero)
-                    if v:
-                        row[c] = v
-                if row:
-                    d[i] = row
-            self._deltas[j] = d
-        return d
+    def moved(self, j: int) -> frozenset:
+        """Coordinates i where row i or column i of tau(j) differs from I's."""
+        return self._moved.get(j, frozenset())
 
 
 def preset_tau(kind: str, n: int, field: ExactField = QQ) -> TauFamily:
@@ -284,52 +275,6 @@ def phi_eval(word: ReducedWord, tau: TauFamily) -> DenseMatrix:
 # Exact defect enumeration
 
 
-def _sp_add(a: dict, b: dict, negate_b: bool = False) -> dict:
-    out = {i: dict(row) for i, row in a.items()}
-    for i, row in b.items():
-        tgt = out.setdefault(i, {})
-        for j, v in row.items():
-            w = -v if negate_b else v
-            cur = tgt.get(j)
-            s = w if cur is None else cur + w
-            if s:
-                tgt[j] = s
-            elif cur is not None:
-                del tgt[j]
-        if not tgt:
-            del out[i]
-    return out
-
-
-def _sp_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for i, arow in a.items():
-        acc: dict = {}
-        for k, av in arow.items():
-            brow = b.get(k)
-            if brow:
-                for j, bv in brow.items():
-                    cur = acc.get(j)
-                    s = av * bv if cur is None else cur + av * bv
-                    if s:
-                        acc[j] = s
-                    elif cur is not None:
-                        del acc[j]
-        if acc:
-            out[i] = acc
-    return out
-
-
-def _sp_rank(sp: dict, field: ExactField) -> int:
-    if not sp:
-        return 0
-    rows = sorted(sp)
-    cols = sorted({j for row in sp.values() for j in row})
-    zero = field.zero
-    data = [[sp[i].get(j, zero) for j in cols] for i in rows]
-    return DenseMatrix(field, data).rank()
-
-
 @dataclass(frozen=True)
 class DefectResult:
     defect: RankDistance
@@ -352,40 +297,45 @@ def exact_defect(tau: TauFamily) -> DefectResult:
     the sum escaping or landing anywhere in the support, and both outside.
     Certifies the result against 3/n.
     """
-    field = tau.field
     support = sorted(tau.support)
     best = 0
     pair = (0, 0)
 
+    def blocks(*js):
+        # Every tau(j) is the identity outside moved(j), so each pattern's
+        # matrix is zero outside the principal block on the union S of the
+        # moved sets of its terms, and its rank is the rank of that block.
+        coords = sorted(frozenset().union(*map(tau.moved, js)))
+        return [tau.tau(j).submatrix(coords, coords) for j in js]
+
     for m in support:
-        dm = tau.delta(m)
         for q in support:
-            dq = tau.delta(q)
-            prod = _sp_mul(dm, dq)
-            s = _sp_add(_sp_add(dm, dq), prod)
-            target = m + q
-            if target in tau.support:
-                s = _sp_add(s, tau.delta(target), negate_b=True)
-            r = _sp_rank(s, field)
+            tm, tq, tmq = blocks(m, q, m + q)
+            r = (tm * tq - tmq).rank()
             if r > best:
                 best = r
                 pair = (m, q)
+        # tau(m) tau(q) - tau(m+q) = (tau(m) - I) tau(q) + (tau(q) - I) - (tau(m+q) - I)
+        # has rank at most 3 and the patterns below at most 2, so no later
+        # pair can replace one that reaches 3.
+        if best == 3:
+            break
 
     # one exponent outside the support: tau(u) - tau(s) with s - u escaping,
     # and tau(u) - I; both are also what the two-outside patterns produce.
     for u in support:
-        du = tau.delta(u)
-        r = _sp_rank(du, field)
+        tu, ident = blocks(u, 0)
+        r = (tu - ident).rank()
         if r > best:
             best = r
             pair = (u, tau.support_bound * 2 + 1)
     if best < 2:
         for u in support:
-            du = tau.delta(u)
             for s in support:
                 if s == u or (s - u) in tau.support:
                     continue
-                r = _sp_rank(_sp_add(du, tau.delta(s), negate_b=True), field)
+                tu, ts = blocks(u, s)
+                r = (tu - ts).rank()
                 if r > best:
                     best = r
                     pair = (u, s - u)
@@ -473,65 +423,25 @@ class ExplicitRep(FreeGroupRep):
         return out if out is not None else DenseMatrix.identity(self.field, self.dim)
 
 
-class MonomialRep(FreeGroupRep):
-    """Images are monomial matrices, evaluated in O(n) per syllable.
+class MonomialRep(ExplicitRep):
+    """Generator images are monomial matrices.
 
-    A monomial matrix is stored as (perm, scale): it sends e_j to
-    scale[j] * e_perm[j].
+    Each is given as (perm, scale) and sends e_j to scale[j] * e_perm[j].  A
+    zero scale is rejected by ExplicitRep's invertibility check.
     """
 
     def __init__(self, field: ExactField, perm_a, scale_a, perm_b, scale_b):
-        self.field = field
-        self.dim = len(perm_a)
-        self._a = (tuple(perm_a), tuple(field.coerce(s) for s in scale_a))
-        self._b = (tuple(perm_b), tuple(field.coerce(s) for s in scale_b))
-        for perm, scale in (self._a, self._b):
-            if sorted(perm) != list(range(self.dim)):
+        n = len(perm_a)
+        images = []
+        for perm, scale in ((perm_a, scale_a), (perm_b, scale_b)):
+            perm = tuple(perm)
+            if sorted(perm) != list(range(n)):
                 raise ValueError("not a permutation")
-            if not all(scale):
-                raise ValueError("monomial scale must be invertible")
-
-    @staticmethod
-    def _compose(m1, m2):
-        # first apply m2, then m1
-        p1, s1 = m1
-        p2, s2 = m2
-        perm = tuple(p1[p2[j]] for j in range(len(p1)))
-        scale = tuple(s2[j] * s1[p2[j]] for j in range(len(p1)))
-        return (perm, scale)
-
-    def _invert(self, m):
-        p, s = m
-        n = len(p)
-        inv_p = [0] * n
-        for j, pj in enumerate(p):
-            inv_p[pj] = j
-        one = self.field.one
-        scale = tuple(one / s[inv_p[j]] for j in range(n))
-        return (tuple(inv_p), scale)
-
-    def _power(self, m, k: int):
-        if k < 0:
-            return self._power(self._invert(m), -k)
-        acc = (tuple(range(self.dim)), tuple(self.field.one for _ in range(self.dim)))
-        for _ in range(k):
-            acc = self._compose(acc, m)
-        return acc
-
-    def _to_matrix(self, m) -> DenseMatrix:
-        p, s = m
-        zero = self.field.zero
-        data = [[zero] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            data[p[j]][j] = s[j]
-        return DenseMatrix(self.field, data)
-
-    def eval(self, word: ReducedWord) -> DenseMatrix:
-        acc = (tuple(range(self.dim)), tuple(self.field.one for _ in range(self.dim)))
-        for gen, exp in word.syllables:
-            base = self._a if gen == "a" else self._b
-            acc = self._compose(acc, self._power(base, exp))
-        return self._to_matrix(acc)
+            rows = [[0] * n for _ in range(n)]
+            for j in range(n):
+                rows[perm[j]][j] = scale[j]
+            images.append(DenseMatrix(field, rows))
+        super().__init__(*images)
 
 
 class ConjugatedRep(FreeGroupRep):
@@ -618,7 +528,7 @@ def rep_distance_certificate(tau: TauFamily, psi, witness_exponent: int | None =
     n = tau.n
     N = psi.dim
     field = tau.field
-    t = witness_exponent or default_witness_exponent(tau)
+    t = default_witness_exponent(tau) if witness_exponent is None else witness_exponent
     w = witness_word(t)
 
     phi_a = tau.tau(0)

@@ -211,6 +211,30 @@ def test_count_options_reject_values_below_one(tmp_path, capsys, command, option
     assert "is not a positive integer" in err
 
 
+@pytest.mark.parametrize(
+    "argv, entry",
+    [
+        (["verma", "build", "--lambda", "1/0", "--n", "3"],
+         {"command": "verma.build", "options": {"lambda": "1/0", "n": 3}}),
+        (["verma", "separate", "--lambda", "1/2", "--mu=1/0", "--n", "4"],
+         {"command": "verma.separate", "options": {"lambda": "1/2", "mu": "1/0", "n": 4}}),
+    ],
+    ids=["lambda", "mu"],
+)
+def test_zero_denominator_weight_is_usage_error(tmp_path, capsys, argv, entry):
+    for code, out, err in (run_cli(capsys, *argv), run_sweep(tmp_path, capsys, {"runs": [entry]})):
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "zero denominator" in err
+
+
+def test_witness_exponent_zero_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rolli", "witness", "--n", "5", "--t", "0"])
+    assert exc.value.code == 2
+    assert "--t: 0 is not a positive integer" in capsys.readouterr().err
+
+
 def test_sweep_parses_option_strings(tmp_path, capsys):
     options = {"lam": "1/2", "mu": "1/3", "n": "16"}
     code, out, _ = run_sweep(tmp_path, capsys, {"runs": [{"command": "verma.separate", "options": options}]})

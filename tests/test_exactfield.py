@@ -289,7 +289,8 @@ def test_text_roundtrip_gaussian_signs():
 
 
 @pytest.mark.parametrize("text", ["", "2", "2 2", "2 2 rational\n1 2 3", "1 1 gaussian\n1/2",
-                                  "1 1 rational\n1 2", "-1 2 rational"])
+                                  "1 1 rational\n1 2", "-1 2 rational", "1 1 rational 1/0",
+                                  "1 1 gaussian\n1/0 i", "1 1 gaussian\n1+1/0 i"])
 def test_malformed_text_raises_value_error(text):
     with pytest.raises(ValueError):
         DenseMatrix.from_text(text)
@@ -368,6 +369,9 @@ def test_kernels_match_entrywise_reference(case):
     assert a.scale(two).row_lists() == [[two * x for x in ra] for ra in rows_a]
     assert (a * c).row_lists() == reference_product(a, c)
     assert (a * c).shape == (a.rows, c.cols)
+    rsel, csel = range(a.rows - 1, -1, -2), [j for j in range(a.cols) if j % 2 == 0]
+    assert a.submatrix(rsel, csel).row_lists() == [[rows_a[i][j] for j in csel] for i in rsel]
+    assert a.submatrix(rsel, csel).shape == (len(rsel), len(csel))
     for m, x in ((a, c), (sq, c), (c, c.transpose())):
         assert m.rank() == rank_by_minors(m)
         kernel = m.kernel_basis()
@@ -396,6 +400,7 @@ def test_kernel_results_hold_field_elements(case):
     results = [a + b, a - b, -a, a.scale(3), 3 * a, a * 2, a * c, a.transpose(), a.direct_sum(c),
                a.pad(a.rows + 1, a.cols + 2), a.rref()[0], a.kernel_basis(), a.column_space_basis(),
                a.solve_right(a * c), hstack([a, b]), vstack([a, b]), a.map_entries(lambda x: x * 2),
+               a.submatrix(range(a.rows), [0, 0][:a.cols]),
                DenseMatrix.identity(field, 3), DenseMatrix.zeros(field, 2, 3),
                DenseMatrix.diagonal(field, [1, 0, -2]), DenseMatrix.elementary(field, 2, 3, 1, 2, 5),
                DenseMatrix.from_text(a.to_text())]

@@ -225,7 +225,9 @@ def test_almostrep_text_roundtrip():
 
 
 @pytest.mark.parametrize("text", ["", "{}", "[]", '{"algebra": "sl2", "dim": 2}',
-                                  '{"algebra": "sl2", "dim": 1}\n\n1 1 rational\n0'])
+                                  '{"algebra": "sl2", "dim": 1}\n\n1 1 rational\n0',
+                                  '{"algebra": "sl2", "dim": 1, "lambda": ["1/0"]}'
+                                  + '\n\n1 1 rational\n0' * 3])
 def test_almostrep_malformed_text_raises_value_error(text):
     with pytest.raises(ValueError):
         almostrep_from_text(text)

@@ -20,6 +20,7 @@ from rankstability import (
 from rankstability.rolli import (
     ExplicitRep,
     MonomialRep,
+    TauFamily,
     WORD_A,
     WORD_B,
     certificate_battery,
@@ -160,6 +161,66 @@ def test_exact_defect_zero_pair_contributes_nothing():
         assert (tau.tau(k) * tau.tau(0) - tau.tau(k)).is_zero()
 
 
+def rank_one_family(field, n, bound, seed):
+    """tau(j) = I + u v^T for 0 < j <= bound, tau(-j) its Sherman-Morrison inverse.
+
+    u and v are sparse, so that the moved coordinates of different tau(j) differ.
+    """
+    rng = XorShift64Star(seed)
+    ident = DenseMatrix.identity(field, n)
+    mapping = {}
+
+    def sparse():
+        return [rng.randint(-2, 2) if rng.below(3) == 0 else 0 for _ in range(n)]
+
+    for j in range(1, bound + 1):
+        while True:
+            u = DenseMatrix(field, [[x] for x in sparse()])
+            v = DenseMatrix(field, [sparse()])
+            denom = field.one + (v * u).entry(0, 0)
+            if denom:
+                break
+        mapping[j] = ident + u * v
+        mapping[-j] = ident - (u * v).scale(field.one / denom)
+    return TauFamily(field, n, mapping)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([QQ, GF(3)]), st.integers(3, 6), st.integers(1, 3), st.integers(0, 2**32))
+def test_exact_defect_matches_dense_brute_force(field, n, bound, seed):
+    tau = rank_one_family(field, n, bound, seed)
+    window = range(-(2 * bound + 1), 2 * bound + 2)
+    brute = max(
+        (tau.tau(m) * tau.tau(q) - tau.tau(m + q)).rank() for m in window for q in window
+    )
+    result = exact_defect(tau)
+    assert result.defect.value == Fraction(brute, n)
+    m, q = result.witness_pair
+    assert (tau.tau(m) * tau.tau(q) - tau.tau(m + q)).rank() == brute
+
+
+def test_exact_defect_keeps_scanning_after_a_row_of_two():
+    # tau(j) = I - 2 E_cc on coordinate c(j). Every pair (-4, q) has rank at
+    # most 2, because c(4) = c(1); the pair (-3, 1) reaches 3.
+    n = 3
+    ident = DenseMatrix.identity(QQ, n)
+    mapping = {}
+    for j, c in {1: 0, 2: 1, 3: 2, 4: 0}.items():
+        mapping[j] = mapping[-j] = ident - DenseMatrix.elementary(QQ, n, n, c, c, 2)
+    tau = TauFamily(QQ, n, mapping)
+    assert max((tau.tau(-4) * tau.tau(q) - tau.tau(q - 4)).rank() for q in tau.support) == 2
+    result = exact_defect(tau)
+    assert result.defect.numerator == 3
+    assert result.witness_pair == (-3, 1)
+
+
+def test_moved_coordinates_of_presets():
+    tau = preset_tau("transvection", 6)
+    assert tau.moved(2) == {1, 2} and tau.moved(-2) == {1, 2}
+    assert tau.moved(0) == tau.moved(6) == frozenset()
+    assert preset_tau("diag_involution", 6).moved(-4) == {3}
+
+
 @pytest.mark.parametrize("n", [4, 6, 9, 16, 33, 64])
 def test_defect_bound_across_sizes(n):
     for kind in ("diag_involution", "transposition", "transvection"):
@@ -242,6 +303,12 @@ def test_chain_against_explicit_pair():
     assert report.fixed_dim >= report.target_dim - report.rank_a - report.rank_b
 
 
+def test_chain_rejects_witness_exponent_zero():
+    tau = preset_tau("diag_involution", 6)
+    with pytest.raises(ValueError):
+        rep_distance_certificate(tau, trivial_rep(QQ, 6), witness_exponent=0)
+
+
 def test_chain_monomial_and_conjugates():
     n = 10
     tau = preset_tau("diag_involution", n)
@@ -260,6 +327,25 @@ def test_chain_transposition_gf2():
     assert report.witness_value == Fraction(n - 1, n)
     assert report.final_bound == (Fraction(n - 1, n) - Fraction(1, n)) / 6
     assert report.eps_lower >= (1 - Fraction(2, n)) / 6
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_monomial_rep_images_follow_perm_and_scale(field):
+    perm_a, scale_a = (2, 0, 4, 1, 3), [1, -1, 2, 3, -3]
+    perm_b, scale_b = (4, 3, 2, 1, 0), [2, 1, 1, -1, 4]
+    mono = MonomialRep(field, perm_a, scale_a, perm_b, scale_b)
+    for img, perm, scale in ((mono.image_a(), perm_a, scale_a), (mono.image_b(), perm_b, scale_b)):
+        for i in range(5):
+            for j in range(5):
+                # e_j goes to scale[j] * e_perm[j]
+                assert img.entry(i, j) == field.coerce(scale[j] if i == perm[j] else 0)
+
+
+def test_monomial_rep_rejects_bad_data():
+    with pytest.raises(ValueError):
+        MonomialRep(QQ, (0, 0, 1), [1, 1, 1], (0, 1, 2), [1, 1, 1])
+    with pytest.raises(ValueError):
+        MonomialRep(QQ, (0, 1, 2), [1, 1, 1], (1, 2, 0), [1, 0, 1])
 
 
 def test_monomial_rep_matches_explicit():
