@@ -52,8 +52,7 @@ from .verma import (
 )
 
 
-def _emit(report: dict, csv_header, csv_rows, out_prefix, stream=None):
-    stream = stream or sys.stdout
+def _emit(report: dict, csv_header, csv_rows, out_prefix):
     text = json.dumps(report, sort_keys=True, indent=2)
     if out_prefix:
         with open(out_prefix + ".json", "w") as fh:
@@ -63,15 +62,15 @@ def _emit(report: dict, csv_header, csv_rows, out_prefix, stream=None):
                 writer = csv.writer(fh)
                 writer.writerow(csv_header)
                 writer.writerows(csv_rows)
-        print(f"wrote {out_prefix}.json" + (f" and {out_prefix}.csv" if csv_header else ""), file=stream)
+        print(f"wrote {out_prefix}.json" + (f" and {out_prefix}.csv" if csv_header else ""))
     else:
-        print(text, file=stream)
+        print(text)
         if csv_header:
             buf = io.StringIO()
             writer = csv.writer(buf)
             writer.writerow(csv_header)
             writer.writerows(csv_rows)
-            print(buf.getvalue().rstrip("\n"), file=stream)
+            print(buf.getvalue().rstrip("\n"))
 
 
 # ---------------------------------------------------------------------------

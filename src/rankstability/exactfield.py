@@ -6,10 +6,11 @@ deliberately rejected everywhere: matrix rank is a discontinuous function of
 the entries, so approximate pivoting could silently change every quantity
 this package certifies.
 
-Rank over Q and Q(i) runs fraction-free (Bareiss) elimination on row-scaled
-integer (or Gaussian-integer) matrices, which keeps intermediate entries as
-minors of the input instead of letting numerators and denominators compound.
-Rank over GF(p) is ordinary modular elimination.
+Rank over Q runs fraction-free (Bareiss) elimination on row-scaled integer
+matrices, which keeps intermediate entries as minors of the input instead of
+letting numerators and denominators compound.  Rank over Q(i) runs the same
+kernel on the real form: M = A + iB has half the rank over Q of the block
+matrix [[A, -B], [B, A]].  Rank over GF(p) is ordinary modular elimination.
 
 The public ``DenseMatrix(field, rows)``, ``map_entries`` and ``from_text`` are
 the coercion boundary.  Every matrix a kernel method builds itself is wrapped
@@ -282,15 +283,6 @@ class ExactField:
     def coerce(self, x):
         raise NotImplementedError
 
-    def contains(self, x) -> bool:
-        try:
-            return self.coerce(x) == x
-        except (TypeError, ValueError, FieldMismatch):
-            return False
-
-    # Text format: number of whitespace tokens a single entry occupies.
-    tokens_per_entry = 1
-
     def format_scalar(self, x) -> str:
         raise NotImplementedError
 
@@ -340,7 +332,6 @@ class GaussianRationalField(ExactField):
     kind = "gaussian"
     tag = "gaussian"
     characteristic = 0
-    tokens_per_entry = 2
 
     def from_int(self, k: int):
         return GaussianRational(k)
@@ -403,7 +394,7 @@ class PrimeField(ExactField):
         if isinstance(x, int):
             return FpElement(self.p, x)
         if isinstance(x, str):
-            return FpElement(self.p, int(x))
+            x = _parse_fraction(x)
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise PrimeDenominatorError(
@@ -522,10 +513,6 @@ class DenseMatrix:
     def entry(self, i: int, j: int):
         return self._data[i][j]
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self._data[i][j]
-
     def row(self, i: int):
         return self._data[i]
 
@@ -603,14 +590,6 @@ class DenseMatrix:
     def transpose(self):
         return self._from_rows(self.field, list(zip(*self._data)) or [()] * self.cols, self.rows)
 
-    def trace(self):
-        if self.rows != self.cols:
-            raise DimensionMismatch("trace of a non-square matrix")
-        t = self.field.zero
-        for i in range(self.rows):
-            t = t + self._data[i][i]
-        return t
-
     def is_zero(self) -> bool:
         return not any(any(row) for row in self._data)
 
@@ -672,7 +651,13 @@ class DenseMatrix:
             return _rank_gf([[a.v for a in row] for row in rows], f.p)
         if isinstance(f, RationalField):
             return _rank_bareiss_int([_scale_rational_row(row) for row in rows])
-        return _rank_bareiss_gaussian([_scale_gaussian_row(row) for row in rows])
+        # M = A + iB acts on x + iy as (Ax - By) + i(Bx + Ay): the real form
+        # [[A, -B], [B, A]] has twice the Q(i)-rank of M.
+        real = []
+        for row in rows:
+            re, im = [a.re for a in row], [a.im for a in row]
+            real += [re + [-b for b in im], im + re]
+        return _rank_bareiss_int([_scale_rational_row(row) for row in real]) // 2
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column tuple)."""
@@ -872,62 +857,6 @@ def _rank_bareiss_int(rows) -> int:
             for j in range(c + 1, ncols):
                 rowi[j] = (piv * rowi[j] - ric * rowr[j]) // prev
             rowi[c] = 0
-        prev = piv
-        r += 1
-    return r
-
-
-def _scale_gaussian_row(row):
-    den = 1
-    for a in row:
-        for d in (a.re.denominator, a.im.denominator):
-            den = den * d // math.gcd(den, d)
-    out = []
-    g = 0
-    for a in row:
-        re = a.re.numerator * (den // a.re.denominator)
-        im = a.im.numerator * (den // a.im.denominator)
-        out.append((re, im))
-        g = math.gcd(g, math.gcd(re, im))
-    if g > 1:
-        out = [(re // g, im // g) for re, im in out]
-    return out
-
-
-def _rank_bareiss_gaussian(rows) -> int:
-    """Bareiss elimination over the Gaussian integers (pairs of ints)."""
-
-    def mul(a, b):
-        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-    def divexact(a, b):
-        n = b[0] * b[0] + b[1] * b[1]
-        return ((a[0] * b[0] + a[1] * b[1]) // n, (a[1] * b[0] - a[0] * b[1]) // n)
-
-    nrows, ncols = len(rows), len(rows[0])
-    r = 0
-    prev = (1, 0)
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        p = None
-        for i in range(r, nrows):
-            if rows[i][c] != (0, 0):
-                p = i
-                break
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
-        rowr = rows[r]
-        for i in range(r + 1, nrows):
-            rowi = rows[i]
-            ric = rowi[c]
-            for j in range(c + 1, ncols):
-                pa = mul(piv, rowi[j])
-                pb = mul(ric, rowr[j])
-                rowi[j] = divexact((pa[0] - pb[0], pa[1] - pb[1]), prev)
-            rowi[c] = (0, 0)
         prev = piv
         r += 1
     return r

@@ -257,11 +257,6 @@ class AlmostRep:
                 raise FieldMismatch("image field disagrees")
         self.images = tuple(self.images)
 
-    def image(self, key) -> DenseMatrix:
-        if isinstance(key, str):
-            key = self.algebra.index_of(key)
-        return self.images[key]
-
     def apply_coords(self, coords) -> DenseMatrix:
         """Image of a coordinate vector under the linear extension."""
         coords = self.algebra._normalize_coords(coords)

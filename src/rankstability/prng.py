@@ -45,21 +45,14 @@ class XorShift64Star:
             raise ValueError("empty range")
         return lo + self.below(hi - lo + 1)
 
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
 
-
-def random_scalar(field, rng: XorShift64Star, lo: int = -4, hi: int = 4, nonzero: bool = False):
+def random_scalar(field, rng: XorShift64Star, lo: int = -4, hi: int = 4):
     """A small random element of `field`, drawn from integer coordinates."""
-    while True:
-        if field.kind == "gaussian":
-            s = field.coerce((rng.randint(lo, hi), rng.randint(lo, hi)))
-        elif field.kind == "gf":
-            s = field.coerce(rng.below(field.p))
-        else:
-            s = field.coerce(rng.randint(lo, hi))
-        if s or not nonzero:
-            return s
+    if field.kind == "gaussian":
+        return field.coerce((rng.randint(lo, hi), rng.randint(lo, hi)))
+    if field.kind == "gf":
+        return field.coerce(rng.below(field.p))
+    return field.coerce(rng.randint(lo, hi))
 
 
 def random_matrix(field, rng: XorShift64Star, rows: int, cols: int, lo: int = -4, hi: int = 4):
@@ -77,8 +70,8 @@ def random_invertible(field, rng: XorShift64Star, n: int, lo: int = -4, hi: int 
             return m
 
 
-def random_unimodular(field, rng: XorShift64Star, n: int, ops: int | None = None):
-    """A product of random transvections, returned with its exact inverse.
+def random_unimodular(field, rng: XorShift64Star, n: int):
+    """A product of 2n random transvections, returned with its exact inverse.
 
     Determinant-one integer conjugators keep entry sizes small under exact
     arithmetic, unlike inverses of dense random matrices whose denominators
@@ -86,12 +79,10 @@ def random_unimodular(field, rng: XorShift64Star, n: int, ops: int | None = None
     """
     from .exactfield import DenseMatrix
 
-    if ops is None:
-        ops = 2 * n
     one, zero = field.one, field.zero
     fwd = [[one if i == j else zero for j in range(n)] for i in range(n)]
     inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for _ in range(ops):
+    for _ in range(2 * n):
         i = rng.below(n)
         j = rng.below(n)
         if i == j:

@@ -140,24 +140,13 @@ class ReducedWord:
 
 
 def _reduce_syllables(sylls) -> ReducedWord:
+    # Adjacent stack entries never share a generator, so a syllable can only
+    # merge with the top, and a cancellation exposes nothing new to merge.
     stack: list = []
     for gen, exp in sylls:
-        if not exp:
-            continue
-        while True:
-            if stack and stack[-1][0] == gen:
-                merged = stack[-1][1] + exp
-                stack.pop()
-                if merged == 0:
-                    if not stack:
-                        gen = None
-                        break
-                    gen, exp = stack.pop()
-                    continue
-                gen, exp = gen, merged
-                continue
-            break
-        if gen is not None:
+        if stack and stack[-1][0] == gen:
+            exp += stack.pop()[1]
+        if exp:
             stack.append((gen, exp))
     return ReducedWord(tuple(stack))
 

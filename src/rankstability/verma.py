@@ -191,14 +191,13 @@ def build_truncation(
     weight,
     n: int,
     field: ExactField = QQ,
-    check: bool = True,
 ) -> AlmostRep:
     """The degree-n truncated highest-weight almost-representation.
 
     Columns are exact module actions with the degree-(n+1) components
     dropped, so the map agrees with the true module on monomials of degree
-    below n (and on all of D_n for the non-negative part).  When `check` is
-    set the pointwise defect is computed and certified against 2 m^2 / n.
+    below n (and on all of D_n for the non-negative part).  The pointwise
+    defect is computed and certified against 2 m^2 / n.
     """
     if n < 2:
         raise ValueError("truncation degree must be at least 2")
@@ -223,15 +222,14 @@ def build_truncation(
         tuple(images),
         {"tag": "verma_truncation", "weight": module.weight, "n": n},
     )
-    if check:
-        report = pointwise_defect(rep)
-        bound = epsilon_bound(algebra, n)
-        if report.pointwise.value > bound:
-            raise BoundViolation(
-                f"truncation defect {report.pointwise} exceeded 2m^2/n = {bound}",
-                details={"weight": [str(w) for w in module.weight], "n": n},
-            )
-        rep.meta["pointwise_defect"] = report.pointwise
+    report = pointwise_defect(rep)
+    bound = epsilon_bound(algebra, n)
+    if report.pointwise.value > bound:
+        raise BoundViolation(
+            f"truncation defect {report.pointwise} exceeded 2m^2/n = {bound}",
+            details={"weight": [str(w) for w in module.weight], "n": n},
+        )
+    rep.meta["pointwise_defect"] = report.pointwise
     return rep
 
 
@@ -303,18 +301,10 @@ def check_highest_weight_structure(rep: AlmostRep) -> StructureReport:
     """
     alg = rep.algebra
     field = rep.field
-    diag = True
-    for t in alg.cartan_indices:
-        img = rep.images[t]
-        for i in range(rep.dim):
-            for j in range(rep.dim):
-                if i != j and img.entry(i, j):
-                    diag = False
-                    break
-            if not diag:
-                break
-        if not diag:
-            break
+    diag = all(
+        img == DenseMatrix.diagonal(field, [img.entry(i, i) for i in range(rep.dim)])
+        for img in (rep.images[t] for t in alg.cartan_indices)
+    )
 
     kills = all(
         not any(rep.images[x].column(0)) for x in alg.positive_indices

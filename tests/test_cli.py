@@ -228,6 +228,19 @@ def test_zero_denominator_weight_is_usage_error(tmp_path, capsys, argv, entry):
         assert "zero denominator" in err
 
 
+def test_fractional_weight_over_prime_field(capsys):
+    code, half, _ = run_cli(capsys, "verma", "build", "--lambda", "1/2", "--n", "3", "--field", "gf7")
+    assert code == 0
+    code, four, _ = run_cli(capsys, "verma", "build", "--lambda", "4", "--n", "3", "--field", "gf7")
+    assert code == 0
+    half, four = strip_timing(half), strip_timing(four)
+    assert half["config"].pop("lambda") == "1/2" and four["config"].pop("lambda") == "4"
+    assert half == four
+    code, out, err = run_cli(capsys, "verma", "build", "--lambda", "1/7", "--n", "3", "--field", "gf7")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_witness_exponent_zero_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rolli", "witness", "--n", "5", "--t", "0"])

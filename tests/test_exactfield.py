@@ -42,6 +42,13 @@ def test_fp_element_canonical_range():
     assert (f.coerce(3) / f.coerce(5)) * f.coerce(5) == 3
 
 
+def test_prime_field_text_reduces_fractions():
+    f = GF(7)
+    assert f.coerce("1/2") == 4 and f.coerce("-3") == 4
+    with pytest.raises(PrimeDenominatorError):
+        f.coerce("1/7")
+
+
 def test_fraction_coercion_rejects_floats():
     with pytest.raises(TypeError):
         QQ.coerce(0.5)
@@ -124,6 +131,32 @@ def test_rank_matches_minors_sampled():
         for _ in range(30):
             m = random_matrix(field, rng, 3, 3, lo=-2, hi=2)
             assert m.rank() == rank_by_minors(m)
+
+
+gaussian_entries = st.builds(GaussianRational, small_fractions, small_fractions.filter(bool))
+
+
+@st.composite
+def gaussian_products(draw):
+    """An (n x r)(r x m) product of factors with no real entries, so rank <= r."""
+    n, r, m = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+
+    def factor(rows, cols):
+        return DenseMatrix(QQI, [[draw(gaussian_entries) for _ in range(cols)] for _ in range(rows)])
+
+    return factor(n, r) * factor(r, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gaussian_products())
+def test_gaussian_rank_of_products_matches_minors(m):
+    assert m.rank() == rank_by_minors(m)
+
+
+def test_gaussian_rank_sees_complex_dependence():
+    i = GaussianRational(0, 1)
+    assert DenseMatrix(QQI, [[1, i], [i, -1]]).rank() == 1
+    assert DenseMatrix(QQI, [[1, 0], [0, -1]]).rank() == 2  # its real part
 
 
 def test_rank_transpose_invariant():

@@ -72,6 +72,37 @@ def test_word_multiplication_associative(l1, l2, l3):
     assert (w1 * w2) * w3 == w1 * (w2 * w3)
 
 
+def free_reduce(letters) -> str:
+    """Letter-by-letter free reduction: cancel each letter against its inverse."""
+    out = []
+    for ch in letters:
+        if out and out[-1] == ch.swapcase():
+            out.pop()
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def spell(item) -> str:
+    if isinstance(item, str):
+        return item
+    gen, exp = item
+    return (gen if exp > 0 else gen.upper()) * abs(exp)
+
+
+syllable_lists = st.lists(
+    st.one_of(st.sampled_from("aAbB"), st.tuples(st.sampled_from("ab"), st.integers(-3, 3))),
+    max_size=16,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(syllable_lists)
+def test_word_reduce_matches_free_reduction(items):
+    word = word_reduce(items)
+    assert "".join(map(spell, word.syllables)) == free_reduce("".join(map(spell, items)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(letters)
 def test_word_inverse_cancels(ls):

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from rankstability import (
+    AlmostRep,
     DenseMatrix,
     QQ,
     UEAElement,
@@ -163,6 +164,22 @@ def test_structure_checks():
     rep3 = build_truncation(SL3, (Fraction(1, 2), Fraction(1, 3)), 4)
     report = check_highest_weight_structure(rep3)
     assert report.passed and report.dim == comb(7, 3)
+
+
+def test_structure_check_failures():
+    report = check_highest_weight_structure(direct_sum_rep([2, 1]))
+    assert (report.generated_dim, report.dim) == (3, 5)
+    assert report.cartan_diagonal and report.annihilates_highest and not report.passed
+
+    rep = build_truncation(SL2, HALF, 4)
+    y, h, x = rep.images
+    off = DenseMatrix.elementary(QQ, rep.dim, rep.dim, 0, 1)
+    report = check_highest_weight_structure(AlmostRep(SL2, QQ, rep.dim, (y, h + off, x)))
+    assert not report.cartan_diagonal and report.annihilates_highest and not report.passed
+
+    off = DenseMatrix.elementary(QQ, rep.dim, rep.dim, 1, 0)
+    report = check_highest_weight_structure(AlmostRep(SL2, QQ, rep.dim, (y, h, x + off)))
+    assert report.cartan_diagonal and not report.annihilates_highest and not report.passed
 
 
 def test_defect_bound_certified_on_build():
