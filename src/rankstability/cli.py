@@ -17,15 +17,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .compress import random_frame, verify_mult_defect, verify_rank_lower, align_compressions
 from .errors import BoundViolation
-from .exactfield import QQ, DenseMatrix, field_from_tag, modular_rank_certificate
+from .exactfield import QQ, field_from_tag, modular_rank_certificate
 from .liealg import almostrep_to_text, build_sl, direct_sum_rep
 from .prng import XorShift64Star, random_matrix
 from .rolli import (
@@ -261,8 +261,7 @@ def _cmd_rolli_witness(args):
     field = field_from_tag(args.field)
     tau = preset_tau(args.preset, args.n, field)
     t = default_witness_exponent(tau) if args.t is None else args.t
-    w = witness_word(t)
-    value = Fraction((phi_eval(w, tau) - DenseMatrix.identity(field, args.n)).rank(), args.n)
+    w, _, value = tau.witness(t)
     report = {
         "config": {"command": "rolli witness", "preset": args.preset, "n": args.n,
                    "field": args.field, "t": t},
@@ -459,7 +458,9 @@ def _count(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The rsl parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rsl",
         description="certificates for rank-metric almost-representations",

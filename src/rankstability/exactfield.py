@@ -6,16 +6,23 @@ deliberately rejected everywhere: matrix rank is a discontinuous function of
 the entries, so approximate pivoting could silently change every quantity
 this package certifies.
 
-Rank over Q runs fraction-free (Bareiss) elimination on row-scaled integer
-matrices, which keeps intermediate entries as minors of the input instead of
-letting numerators and denominators compound.  Rank over Q(i) runs the same
-kernel on the real form: M = A + iB has half the rank over Q of the block
-matrix [[A, -B], [B, A]].  Rank over GF(p) is ordinary modular elimination.
+Products and eliminations over GF(p) and Q run on plain Python ints and box
+each result entry once.  GF(p) accumulates products of representatives and
+eliminates modulo p.  Q puts rows over common denominators: a product
+accumulates integer numerators, and Gauss-Jordan elimination (behind
+``rref``, ``inverse``, ``kernel_basis``, ``column_space_basis`` and
+``solve_right``) works on primitive integer rows, which stay proportional to
+the rows of fraction-free (Bareiss) elimination, so entries stay bounded by
+minors of the input instead of letting numerators and denominators compound.
+Rank runs the forward half of the same elimination.  Q(i) products and
+Gauss-Jordan eliminations stay on boxed ``GaussianRational`` scalars; Q(i)
+rank runs the integer kernel on the real form: M = A + iB has half the rank
+over Q of the block matrix [[A, -B], [B, A]].
 
 The public ``DenseMatrix(field, rows)``, ``map_entries`` and ``from_text`` are
 the coercion boundary.  Every matrix a kernel method builds itself is wrapped
 from entries that are already field elements, without coercing them again,
-and sums, differences and eliminations skip zero operands.
+and sums, differences, products and eliminations skip zero operands.
 """
 
 from __future__ import annotations
@@ -448,11 +455,14 @@ def field_from_tag(tag: str) -> ExactField:
 class DenseMatrix:
     """Immutable dense matrix over an exact field.
 
-    Entries are stored row-major as a tuple of row tuples.  All operations
-    return new matrices; instances are safe to share between threads.  The
-    constructor coerces every entry into the field; kernel results come from
-    ``_from_rows``, which trusts its field elements and keeps the column
-    count of matrices without rows.
+    Entries are stored row-major as a tuple of row tuples of field elements.
+    All operations return new matrices; instances are safe to share between
+    threads.  The constructor coerces every entry into the field; kernel
+    results come from ``_from_rows``, which trusts its field elements and
+    keeps the column count of matrices without rows.  Over GF(p) and Q,
+    ``*``, ``rank`` and the Gauss-Jordan methods unbox the entries to ints,
+    compute on those and box each result entry once; over Q(i) they compute
+    on the boxed scalars, apart from ``rank``.
     """
 
     __slots__ = ("field", "rows", "cols", "_data")
@@ -571,17 +581,9 @@ class DenseMatrix:
             self._check_same(other)
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.shape} * {other.shape}")
-            zero = self.field.zero
-            nonzeros = [[(j, b) for j, b in enumerate(brow) if b] for brow in other._data]
-            out = []
-            for arow in self._data:
-                acc = [zero] * other.cols
-                for a, bnz in zip(arow, nonzeros):
-                    if a:
-                        for j, b in bnz:
-                            acc[j] = acc[j] + a * b
-                out.append(acc)
-            return self._from_rows(self.field, out, other.cols)
+            return self._from_rows(
+                self.field, _product(self.field, self._data, other._data, other.cols), other.cols
+            )
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -648,16 +650,16 @@ class DenseMatrix:
             rows = [list(row) for row in rows]
         f = self.field
         if isinstance(f, PrimeField):
-            return _rank_gf([[a.v for a in row] for row in rows], f.p)
+            return len(_eliminate_gf([[a.v for a in row] for row in rows], f.p, reduced=False))
         if isinstance(f, RationalField):
-            return _rank_bareiss_int([_scale_rational_row(row) for row in rows])
+            return len(_eliminate_int([_scale_rational_row(row) for row in rows], reduced=False))
         # M = A + iB acts on x + iy as (Ax - By) + i(Bx + Ay): the real form
         # [[A, -B], [B, A]] has twice the Q(i)-rank of M.
         real = []
         for row in rows:
             re, im = [a.re for a in row], [a.im for a in row]
             real += [re + [-b for b in im], im + re]
-        return _rank_bareiss_int([_scale_rational_row(row) for row in real]) // 2
+        return len(_eliminate_int([_scale_rational_row(row) for row in real], reduced=False)) // 2
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column tuple)."""
@@ -787,13 +789,81 @@ def vstack(mats) -> DenseMatrix:
     return DenseMatrix._from_rows(field, data, ncols)
 
 
-# -- elimination internals ------------------------------------------------------
+# -- kernel internals ------------------------------------------------------------
+
+
+def _product(field, arows, brows, ncols):
+    """The rows of A * B, skipping zero operands.
+
+    GF(p) accumulates the ints a.v * b.v and boxes each entry once.  Q puts B
+    over one common denominator and each row of A over its own, accumulates
+    integer numerators and builds one Fraction per nonzero entry.  Q(i)
+    accumulates boxed scalars.
+    """
+    zero = field.zero
+    out = []
+    if isinstance(field, PrimeField):
+        p = field.p
+        bnz = [[(j, b.v) for j, b in enumerate(row) if b.v] for row in brows]
+        for arow in arows:
+            acc = [0] * ncols
+            for a, nz in zip(arow, bnz):
+                a = a.v
+                if a:
+                    for j, b in nz:
+                        acc[j] += a * b
+            out.append([FpElement(p, v) for v in acc])
+        return out
+    bnz = [[(j, b) for j, b in enumerate(row) if b] for row in brows]
+    if isinstance(field, RationalField):
+        den_b = math.lcm(*[b.denominator for nz in bnz for _, b in nz])
+        bnz = [[(j, b.numerator * (den_b // b.denominator)) for j, b in nz] for nz in bnz]
+        for arow in arows:
+            terms = [(a, nz) for a, nz in zip(arow, bnz) if nz and a]
+            if not terms:
+                out.append((zero,) * ncols)
+                continue
+            den_a = math.lcm(*[a.denominator for a, _ in terms])
+            acc = [0] * ncols
+            for a, nz in terms:
+                a = a.numerator * (den_a // a.denominator)
+                for j, b in nz:
+                    acc[j] += a * b
+            den = den_a * den_b
+            out.append([Fraction(v, den) if v else zero for v in acc])
+        return out
+    for arow in arows:
+        acc = [zero] * ncols
+        for a, nz in zip(arow, bnz):
+            if a:
+                for j, b in nz:
+                    acc[j] = acc[j] + a * b
+        out.append(acc)
+    return out
 
 
 def _rref_in_place(rows, field) -> list[int]:
-    """Reduce to RREF with exact division; returns the pivot column list."""
+    """Reduce lists of field elements to RREF in place; returns the pivot columns.
+
+    GF(p) eliminates ints mod p and Q eliminates primitive integer rows, each
+    boxing every entry once at the end; Q(i) divides boxed scalars.
+    """
     if not rows:
         return []
+    if isinstance(field, PrimeField):
+        p = field.p
+        ints = [[a.v for a in row] for row in rows]
+        pivots = _eliminate_gf(ints, p, reduced=True)
+        rows[:] = [[FpElement(p, v) for v in row] for row in ints]
+        return pivots
+    if isinstance(field, RationalField):
+        ints = [_scale_rational_row(row) for row in rows]
+        pivots = _eliminate_int(ints, reduced=True)
+        zero = field.zero
+        for i, row in enumerate(ints):
+            piv = row[pivots[i]] if i < len(pivots) else 1  # rows past the rank are zero
+            rows[i] = [Fraction(v, piv) if v else zero for v in row]
+        return pivots
     nrows, ncols = len(rows), len(rows[0])
     pivots = []
     r = 0
@@ -821,71 +891,73 @@ def _rref_in_place(rows, field) -> list[int]:
 
 
 def _scale_rational_row(row):
-    den = 1
-    for a in row:
-        den = den * a.denominator // math.gcd(den, a.denominator)
+    """The primitive integer row proportional to a row of fractions."""
+    den = math.lcm(*[a.denominator for a in row])
     ints = [a.numerator * (den // a.denominator) for a in row]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    g = math.gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
-def _rank_bareiss_int(rows) -> int:
-    """Fraction-free elimination over Z; entries stay minors of the input."""
+def _eliminate_int(rows, reduced: bool) -> list[int]:
+    """Elimination on primitive integer rows in place; returns the pivot columns.
+
+    Clearing column c of row i with the pivot row r sets row_i to
+    (piv*row_i - m*row_r) / gcd(piv, m) and divides out its content, so only
+    rows with a nonzero m change.  A row stays proportional to the one
+    fraction-free (Bareiss) elimination would hold, so its entries never
+    exceed those minors of the input.  Without `reduced` only the rows below
+    r are cleared, which is all the rank needs; with it every other row is
+    too, and row r divided by its pivot is row r of the RREF.
+    """
     nrows, ncols = len(rows), len(rows[0])
-    r = 0
-    prev = 1
+    pivots = []
     for c in range(ncols):
-        if r >= nrows:
+        r = len(pivots)
+        if r == nrows:
             break
-        p = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                p = i
-                break
+        p = next((i for i in range(r, nrows) if rows[i][c]), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
         rowr = rows[r]
-        for i in range(r + 1, nrows):
-            rowi = rows[i]
-            ric = rowi[c]
-            for j in range(c + 1, ncols):
-                rowi[j] = (piv * rowi[j] - ric * rowr[j]) // prev
-            rowi[c] = 0
-        prev = piv
-        r += 1
-    return r
+        piv = rowr[c]
+        for i in range(0 if reduced else r + 1, nrows):
+            m = rows[i][c]
+            if m and i != r:
+                g = math.gcd(piv, m)
+                s, t = piv // g, m // g
+                row = [s * a - t * b for a, b in zip(rows[i], rowr)]
+                g = math.gcd(*row)
+                rows[i] = [v // g for v in row] if g > 1 else row
+        pivots.append(c)
+    return pivots
 
 
-def _rank_gf(rows, p: int) -> int:
+def _eliminate_gf(rows, p: int, reduced: bool) -> list[int]:
+    """Modular elimination of rows of ints in [0, p) in place; returns the pivots.
+
+    Each pivot row is scaled to a leading 1.  Without `reduced` only the rows
+    below it are cleared (enough for the rank); with it every other row is,
+    which leaves the RREF.
+    """
     nrows, ncols = len(rows), len(rows[0])
-    r = 0
+    pivots = []
     for c in range(ncols):
-        if r >= nrows:
+        r = len(pivots)
+        if r == nrows:
             break
-        piv_row = None
-        for i in range(r, nrows):
-            if rows[i][c] % p:
-                piv_row = i
-                break
+        piv_row = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv_row is None:
             continue
         rows[r], rows[piv_row] = rows[piv_row], rows[r]
         inv = pow(rows[r][c], -1, p)
-        rowr = [a * inv % p for a in rows[r]]
-        rows[r] = rowr
-        for i in range(r + 1, nrows):
-            m = rows[i][c] % p
-            if m:
-                rowi = rows[i]
-                rows[i] = [(a - m * b) % p for a, b in zip(rowi, rowr)]
-        r += 1
-    return r
+        rowr = rows[r] = [a * inv % p for a in rows[r]]
+        for i in range(0 if reduced else r + 1, nrows):
+            m = rows[i][c]
+            if m and i != r:
+                rows[i] = [(a - m * b) % p for a, b in zip(rows[i], rowr)]
+        pivots.append(c)
+    return pivots
 
 
 def modular_rank_certificate(matrix: DenseMatrix, primes) -> int:

@@ -197,6 +197,7 @@ class TauFamily:
             self._map[j] = mat
         ident = DenseMatrix.identity(field, n)
         self._identity = ident
+        self._witness: dict[int, tuple] = {}
         self._moved: dict[int, frozenset] = {}
         for j, mat in sorted(self._map.items()):
             if -j not in self._map:
@@ -221,6 +222,19 @@ class TauFamily:
     def moved(self, j: int) -> frozenset:
         """Coordinates i where row i or column i of tau(j) differs from I's."""
         return self._moved.get(j, frozenset())
+
+    def witness(self, t: int) -> tuple:
+        """(w, phi(w), c) for w = witness_word(t) and c = rk(phi(w) - I_n) / n.
+
+        Computed once per exponent: every distance chain against this family
+        uses the same phi side.
+        """
+        hit = self._witness.get(t)
+        if hit is None:
+            w = witness_word(t)
+            phi_w = phi_eval(w, self)
+            hit = self._witness[t] = (w, phi_w, Fraction((phi_w - self._identity).rank(), self.n))
+        return hit
 
 
 def preset_tau(kind: str, n: int, field: ExactField = QQ) -> TauFamily:
@@ -518,11 +532,10 @@ def rep_distance_certificate(tau: TauFamily, psi, witness_exponent: int | None =
     N = psi.dim
     field = tau.field
     t = default_witness_exponent(tau) if witness_exponent is None else witness_exponent
-    w = witness_word(t)
+    w, phi_w, c = tau.witness(t)
 
     phi_a = tau.tau(0)
     phi_b = tau.tau(1)
-    phi_w = phi_eval(w, tau)
     psi_a = psi.image_a()
     psi_b = psi.image_b()
     psi_w = psi.eval(w)
@@ -532,8 +545,6 @@ def rep_distance_certificate(tau: TauFamily, psi, witness_exponent: int | None =
     d_w = flexible_distance(phi_w, psi_w)
     eps = max(d_a.value, d_b.value, d_w.value)
     delta = Fraction(1, n)
-    ident_n = DenseMatrix.identity(field, n)
-    c = Fraction((phi_w - ident_n).rank(), n)
 
     ident_big = DenseMatrix.identity(field, N)
     rank_a = (psi_a - ident_big).rank()

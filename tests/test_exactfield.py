@@ -453,3 +453,102 @@ def test_empty_shapes_survive(field, rows, cols):
     for mat in (m, m.transpose()):
         back = DenseMatrix.from_text(mat.to_text())
         assert back.shape == mat.shape and back == mat
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against boxed references
+
+
+BIG_PRIME = 1000003
+INT_KERNEL_FIELDS = [QQ, GF(2), GF(7), GF(BIG_PRIME)]
+
+
+def reference_rref(m):
+    """Textbook Gauss-Jordan on boxed field elements: (RREF rows, pivot columns)."""
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    pivots = []
+    for c in range(m.cols):
+        r = len(pivots)
+        below = [i for i in range(r, m.rows) if rows[i][c] != m.field.zero]
+        if not below:
+            continue
+        rows[r], rows[below[0]] = rows[below[0]], rows[r]
+        inv = m.field.one / rows[r][c]
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(m.rows):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def reference_kernel(m):
+    """Columns e_f - sum_r rref[r][f] e_pivot(r), one per free column f."""
+    rows, pivots = reference_rref(m)
+    vecs = []
+    for f in (j for j in range(m.cols) if j not in pivots):
+        vec = [m.field.zero] * m.cols
+        vec[f] = m.field.one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][f]
+        vecs.append(vec)
+    return [[vec[i] for vec in vecs] for i in range(m.cols)]
+
+
+@st.composite
+def int_kernel_matrices(draw, field, rows, cols):
+    big = draw(st.booleans())
+    if field == QQ:
+        nums = st.integers(-10**6, 10**6) if big else st.integers(-5, 5)
+        dens = st.integers(1, 10**4) if big else st.integers(1, 4)
+        entry = st.builds(Fraction, nums, dens)
+    else:
+        entry = st.integers(0, field.p - 1) if big else st.integers(-2, 2)
+    if not rows:
+        return DenseMatrix.zeros(field, 0, cols)
+    data = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    for i in range(1, rows):  # forced rank deficiency: a row copies a combination
+        if draw(st.integers(0, 3)) == 0:
+            k, s = draw(st.integers(0, i - 1)), draw(st.integers(-3, 3))
+            data[i] = [x + s * y for x, y in zip(data[i - 1], data[k])]
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+        data[i] = [0] * cols
+    for j in draw(st.lists(st.integers(0, cols - 1), max_size=2)) if cols else []:
+        for row in data:
+            row[j] = 0
+    return DenseMatrix(field, data)
+
+
+@st.composite
+def int_kernel_cases(draw):
+    field = draw(st.sampled_from(INT_KERNEL_FIELDS))
+    rows, cols, out = draw(st.integers(0, 9)), draw(st.integers(1, 9)), draw(st.integers(0, 9))
+    return draw(int_kernel_matrices(field, rows, cols)), draw(int_kernel_matrices(field, cols, out))
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_kernel_cases())
+def test_int_kernels_match_boxed_reference(case):
+    m, other = case
+    field = m.field
+    rows, pivots = reference_rref(m)
+    rref, rref_pivots = m.rref()
+    assert rref.row_lists() == rows and list(rref_pivots) == pivots
+    assert m.rank() == len(pivots)
+    kernel = m.kernel_basis()
+    assert kernel.shape == (m.cols, m.cols - len(pivots))
+    assert kernel.row_lists() == reference_kernel(m)
+    assert (m * other).row_lists() == reference_product(m, other)
+    assert (m.transpose() * m).row_lists() == reference_product(m.transpose(), m)
+    k = min(m.rows, m.cols)
+    sq = m.submatrix(range(k), range(k))
+    aug = hstack([sq, DenseMatrix.identity(field, k)])
+    rows, pivots = reference_rref(aug)
+    if pivots == list(range(k)):
+        assert sq.inverse().row_lists() == [row[k:] for row in rows]
+    else:
+        with pytest.raises(SingularMatrixError):
+            sq.inverse()
+    for result in (rref, kernel, m * other):
+        assert_field_elements(result, field)
