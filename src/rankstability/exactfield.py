@@ -9,15 +9,14 @@ this package certifies.
 Products and eliminations over GF(p) and Q run on plain Python ints and box
 each result entry once.  GF(p) accumulates products of representatives and
 eliminates modulo p.  Q puts rows over common denominators: a product
-accumulates integer numerators, and Gauss-Jordan elimination (behind
-``rref``, ``inverse``, ``kernel_basis``, ``column_space_basis`` and
-``solve_right``) works on primitive integer rows, which stay proportional to
-the rows of fraction-free (Bareiss) elimination, so entries stay bounded by
-minors of the input instead of letting numerators and denominators compound.
-Rank runs the forward half of the same elimination.  Q(i) products and
-Gauss-Jordan eliminations stay on boxed ``GaussianRational`` scalars; Q(i)
-rank runs the integer kernel on the real form: M = A + iB has half the rank
-over Q of the block matrix [[A, -B], [B, A]].
+accumulates integer numerators, and elimination is fraction-free (Bareiss)
+on row-scaled integer rows, which keeps intermediate entries as minors of
+the input instead of letting numerators and denominators compound.  Rank
+runs the forward half of each elimination, and Gauss-Jordan (behind ``rref``,
+``inverse``, ``kernel_basis``, ``column_space_basis`` and ``solve_right``)
+the reduced form.  Q(i) products and Gauss-Jordan eliminations stay on boxed
+``GaussianRational`` scalars; Q(i) rank runs the integer kernel on the real
+form: M = A + iB has half the rank over Q of the block matrix [[A, -B], [B, A]].
 
 The public ``DenseMatrix(field, rows)``, ``map_entries`` and ``from_text`` are
 the coercion boundary.  Every matrix a kernel method builds itself is wrapped
@@ -845,8 +844,8 @@ def _product(field, arows, brows, ncols):
 def _rref_in_place(rows, field) -> list[int]:
     """Reduce lists of field elements to RREF in place; returns the pivot columns.
 
-    GF(p) eliminates ints mod p and Q eliminates primitive integer rows, each
-    boxing every entry once at the end; Q(i) divides boxed scalars.
+    GF(p) eliminates ints mod p and Q runs fraction-free on integer rows,
+    each boxing every entry once at the end; Q(i) divides boxed scalars.
     """
     if not rows:
         return []
@@ -899,18 +898,21 @@ def _scale_rational_row(row):
 
 
 def _eliminate_int(rows, reduced: bool) -> list[int]:
-    """Elimination on primitive integer rows in place; returns the pivot columns.
+    """Fraction-free (Bareiss) elimination of integer rows in place; returns the pivots.
 
-    Clearing column c of row i with the pivot row r sets row_i to
-    (piv*row_i - m*row_r) / gcd(piv, m) and divides out its content, so only
-    rows with a nonzero m change.  A row stays proportional to the one
-    fraction-free (Bareiss) elimination would hold, so its entries never
-    exceed those minors of the input.  Without `reduced` only the rows below
-    r are cleared, which is all the rank needs; with it every other row is
-    too, and row r divided by its pivot is row r of the RREF.
+    Bareiss sets row_i = (piv*row_i - m*row_r) / prev at each pivot piv of
+    row r, m = row_i[c] and prev the previous pivot: the division is exact and
+    every entry stays a minor of the input.  A row with m = 0 is left as it
+    is here; it then stands for its Bareiss row times den[i] / prev, den[i]
+    being the pivot at which it last changed, so the step that changes it,
+    (piv*row_i - m*row_r) / den[i], is again exact, and a stale pivot row is
+    first scaled by prev / den[r].  Without `reduced` only the rows below r
+    are cleared, which is all the rank needs; with it every other row is
+    too, and each pivot row divided by its pivot entry is a row of the RREF.
     """
     nrows, ncols = len(rows), len(rows[0])
-    pivots = []
+    den = [1] * nrows
+    pivots, prev = [], 1
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -919,16 +921,22 @@ def _eliminate_int(rows, reduced: bool) -> list[int]:
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
+        den[r], den[p] = den[p], den[r]
         rowr = rows[r]
-        piv = rowr[c]
+        if den[r] != prev:
+            rowr = rows[r] = [a * prev // den[r] for a in rowr]
+        piv = den[r] = rowr[c]
         for i in range(0 if reduced else r + 1, nrows):
-            m = rows[i][c]
+            row = rows[i]
+            m = row[c]
             if m and i != r:
-                g = math.gcd(piv, m)
-                s, t = piv // g, m // g
-                row = [s * a - t * b for a, b in zip(rows[i], rowr)]
-                g = math.gcd(*row)
-                rows[i] = [v // g for v in row] if g > 1 else row
+                d = den[i]
+                # rows below r are zero left of c, as row r is
+                for j in range(0 if i < r else c + 1, ncols):
+                    row[j] = (piv * row[j] - m * rowr[j]) // d
+                row[c] = 0
+                den[i] = piv
+        prev = piv
         pivots.append(c)
     return pivots
 

@@ -16,10 +16,10 @@ from rankstability import (
     XorShift64Star,
     modular_rank_certificate,
 )
-from rankstability.exactfield import field_from_tag, hstack, vstack
+from rankstability.exactfield import _eliminate_int, field_from_tag, hstack, vstack
 from rankstability.prng import random_invertible, random_matrix
 
-from conftest import rank_by_minors, token_prefixes
+from conftest import det_laplace, rank_by_minors, token_prefixes
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +514,10 @@ def int_kernel_matrices(draw, field, rows, cols):
             data[i] = [x + s * y for x, y in zip(data[i - 1], data[k])]
     for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
         data[i] = [0] * cols
-    for j in draw(st.lists(st.integers(0, cols - 1), max_size=2)) if cols else []:
-        for row in data:
-            row[j] = 0
+    if cols:
+        for j in draw(st.lists(st.integers(0, cols - 1), max_size=2)):
+            for row in data:
+                row[j] = 0
     return DenseMatrix(field, data)
 
 
@@ -552,3 +553,17 @@ def test_int_kernels_match_boxed_reference(case):
             sq.inverse()
     for result in (rref, kernel, m * other):
         assert_field_elements(result, field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_integer_elimination_stays_fraction_free(rows):
+    """The last pivot is the determinant up to sign, as in Bareiss' elimination."""
+    det = det_laplace([[Fraction(x) for x in row] for row in rows])
+    for reduced in (False, True):
+        work = [list(row) for row in rows]
+        pivots = _eliminate_int(work, reduced)
+        assert len(pivots) == rank_by_minors(DenseMatrix(QQ, rows))
+        if det:
+            assert abs(work[-1][pivots[-1]]) == abs(det)
