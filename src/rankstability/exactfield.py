@@ -900,15 +900,14 @@ def _scale_rational_row(row):
 def _eliminate_int(rows, reduced: bool) -> list[int]:
     """Fraction-free (Bareiss) elimination of integer rows in place; returns the pivots.
 
-    Bareiss sets row_i = (piv*row_i - m*row_r) / prev at each pivot piv of
-    row r, m = row_i[c] and prev the previous pivot: the division is exact and
-    every entry stays a minor of the input.  A row with m = 0 is left as it
-    is here; it then stands for its Bareiss row times den[i] / prev, den[i]
-    being the pivot at which it last changed, so the step that changes it,
-    (piv*row_i - m*row_r) / den[i], is again exact, and a stale pivot row is
-    first scaled by prev / den[r].  Without `reduced` only the rows below r
-    are cleared, which is all the rank needs; with it every other row is
-    too, and each pivot row divided by its pivot entry is a row of the RREF.
+    Bareiss sets row_i = (piv*row_i - m*row_r) / prev for the pivot piv of row
+    r, m = row_i[c] and the previous pivot prev; the division is exact and
+    entries stay minors of the input.  Here a row with m = 0 is left alone,
+    standing for its Bareiss row times den[i] / prev, with den[i] the pivot
+    at which it last changed: its next step divides by den[i], and a stale
+    pivot row is first scaled by prev / den[r].  Without `reduced` only rows
+    below r are cleared (enough for the rank); with it every other row is
+    too, and each pivot row over its pivot entry is a row of the RREF.
     """
     nrows, ncols = len(rows), len(rows[0])
     den = [1] * nrows
@@ -917,8 +916,10 @@ def _eliminate_int(rows, reduced: bool) -> list[int]:
         r = len(pivots)
         if r == nrows:
             break
-        p = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if p is None:
+        for p in range(r, nrows):
+            if rows[p][c]:
+                break
+        else:
             continue
         rows[r], rows[p] = rows[p], rows[r]
         den[r], den[p] = den[p], den[r]
@@ -954,8 +955,10 @@ def _eliminate_gf(rows, p: int, reduced: bool) -> list[int]:
         r = len(pivots)
         if r == nrows:
             break
-        piv_row = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv_row is None:
+        for piv_row in range(r, nrows):
+            if rows[piv_row][c]:
+                break
+        else:
             continue
         rows[r], rows[piv_row] = rows[piv_row], rows[r]
         inv = pow(rows[r][c], -1, p)
