@@ -1,4 +1,4 @@
-"""Exact scalar fields and dense matrices with exact rank computation.
+"""Exact scalar fields and sparse-row matrices with exact rank computation.
 
 Scalars live in one of three domains: the rationals, the Gaussian rationals
 Q(i), or a prime field GF(p).  All arithmetic is exact.  Floating point is
@@ -6,27 +6,31 @@ deliberately rejected everywhere: matrix rank is a discontinuous function of
 the entries, so approximate pivoting could silently change every quantity
 this package certifies.
 
-Products and eliminations over GF(p) and Q run on plain Python ints and box
-each result entry once.  GF(p) accumulates products of representatives and
-eliminates modulo p.  Q puts rows over common denominators: a product
-accumulates integer numerators, and elimination is fraction-free (Bareiss)
-on row-scaled integer rows, which keeps intermediate entries as minors of
-the input instead of letting numerators and denominators compound.  Rank
-runs the forward half of each elimination, and Gauss-Jordan (behind ``rref``,
-``inverse``, ``kernel_basis``, ``column_space_basis`` and ``solve_right``)
-the reduced form.  Q(i) products and Gauss-Jordan eliminations stay on boxed
-``GaussianRational`` scalars; Q(i) rank runs the integer kernel on the real
-form: M = A + iB has half the rank over Q of the block matrix [[A, -B], [B, A]].
+``DenseMatrix`` stores each row as its nonzero entries only: a tuple of
+(column, field element) pairs sorted by column, so every kernel touches the
+nonzeros alone.  Sums merge rows, and products run row by row (Gustavson).
+Over GF(p) and Q, products and eliminations unbox the nonzeros to plain
+Python ints and box each nonzero result entry once.  GF(p) works on
+representatives modulo p.  Q puts rows over common denominators: a product
+accumulates integer numerators, and elimination is fraction-free (Bareiss),
+which keeps intermediate entries as minors of the input.  Rank runs the
+forward half of each elimination, and Gauss-Jordan (behind ``rref``,
+``inverse``, ``kernel_basis``, ``column_space_basis`` and ``solve_right``) the
+reduced form.  Q(i) products and Gauss-Jordan stay on boxed scalars; Q(i) rank
+runs the integer kernel on the real form [[A, -B], [B, A]] of M = A + iB,
+which has twice the rank of M.
 
-The public ``DenseMatrix(field, rows)``, ``map_entries`` and ``from_text`` are
-the coercion boundary.  Every matrix a kernel method builds itself is wrapped
-from entries that are already field elements, without coercing them again,
-and sums, differences, products and eliminations skip zero operands.
+``DenseMatrix(field, rows)``, ``map_entries`` and ``from_text`` take dense
+rows and are the coercion boundary; kernel results are wrapped from field
+elements without coercing them again.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
+from itertools import compress
 from fractions import Fraction
 
 from .errors import (
@@ -275,11 +279,11 @@ class ExactField:
 
     kind = "abstract"
 
-    @property
+    @functools.cached_property
     def zero(self):
         return self.from_int(0)
 
-    @property
+    @functools.cached_property
     def one(self):
         return self.from_int(1)
 
@@ -448,40 +452,35 @@ def field_from_tag(tag: str) -> ExactField:
 
 
 # ---------------------------------------------------------------------------
-# Dense matrices
+# Matrices with sparse rows
 
 
 class DenseMatrix:
-    """Immutable dense matrix over an exact field.
+    """Immutable matrix over an exact field, stored as sparse rows.
 
-    Entries are stored row-major as a tuple of row tuples of field elements.
-    All operations return new matrices; instances are safe to share between
-    threads.  The constructor coerces every entry into the field; kernel
-    results come from ``_from_rows``, which trusts its field elements and
-    keeps the column count of matrices without rows.  Over GF(p) and Q,
-    ``*``, ``rank`` and the Gauss-Jordan methods unbox the entries to ints,
-    compute on those and box each result entry once; over Q(i) they compute
-    on the boxed scalars, apart from ``rank``.
+    Each row is a tuple of (column, value) pairs, sorted by column, holding
+    the nonzero entries only.  The storage is canonical, so equality and
+    hashing compare it directly.  All operations return new matrices, and
+    instances are safe to share between threads.  Kernel results come from
+    ``_from_rows``, which trusts its rows and keeps the column count of
+    matrices without rows.
     """
 
     __slots__ = ("field", "rows", "cols", "_data")
 
     def __init__(self, field: ExactField, rows):
-        data = tuple(tuple(field.coerce(x) for x in row) for row in rows)
-        ncols = len(data[0]) if data else 0
-        for row in data:
-            if len(row) != ncols:
-                raise DimensionMismatch("ragged rows")
-        self.field = field
-        self.rows = len(data)
-        self.cols = ncols
-        self._data = data
+        dense = [[field.coerce(x) for x in row] for row in rows]
+        ncols = len(dense[0]) if dense else 0
+        if any(len(row) != ncols for row in dense):
+            raise DimensionMismatch("ragged rows")
+        self.field, self.rows, self.cols = field, len(dense), ncols
+        self._data = tuple(map(_sparse, dense))
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def _from_rows(cls, field: ExactField, rows, cols: int) -> "DenseMatrix":
-        """Wrap rows of `cols` elements of `field` without coercing or checking."""
+        """Wrap sparse rows of nonzero `field` elements, sorted by column, unchecked."""
         m = object.__new__(cls)
         m.field, m.cols, m._data = field, cols, tuple(map(tuple, rows))
         m.rows = len(m._data)
@@ -489,28 +488,25 @@ class DenseMatrix:
 
     @classmethod
     def identity(cls, field: ExactField, n: int) -> "DenseMatrix":
-        one, zero = field.one, field.zero
-        rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        return cls._from_rows(field, rows, n)
+        one = field.one
+        return cls._from_rows(field, [((i, one),) for i in range(n)], n)
 
     @classmethod
     def zeros(cls, field: ExactField, rows: int, cols: int) -> "DenseMatrix":
-        return cls._from_rows(field, [(field.zero,) * cols] * rows, cols)
+        return cls._from_rows(field, [()] * rows, cols)
 
     @classmethod
     def diagonal(cls, field: ExactField, entries) -> "DenseMatrix":
         entries = [field.coerce(x) for x in entries]
-        n = len(entries)
-        zero = field.zero
-        return cls._from_rows(
-            field, [[entries[i] if i == j else zero for j in range(n)] for i in range(n)], n
-        )
+        rows = [((i, a),) if a else () for i, a in enumerate(entries)]
+        return cls._from_rows(field, rows, len(entries))
 
     @classmethod
     def elementary(cls, field: ExactField, rows: int, cols: int, i: int, j: int, value=1):
-        zero = field.zero
-        data = [[zero] * cols for _ in range(rows)]
-        data[i][j] = field.coerce(value)
+        data = [()] * rows
+        value = field.coerce(value)
+        if value:
+            data[i] = ((range(cols)[j], value),)
         return cls._from_rows(field, data, cols)
 
     # -- access --------------------------------------------------------------
@@ -520,17 +516,22 @@ class DenseMatrix:
         return (self.rows, self.cols)
 
     def entry(self, i: int, j: int):
-        return self._data[i][j]
+        row, j = self._data[i], range(self.cols)[j]
+        k = bisect.bisect_left(row, (j,))  # (j,) sorts just before (j, value)
+        if k < len(row) and row[k][0] == j:
+            return row[k][1]
+        return self.field.zero
 
     def row(self, i: int):
-        return self._data[i]
+        return tuple(_dense(self._data[i], self.cols, self.field.zero))
 
     def column(self, j: int):
-        return tuple(row[j] for row in self._data)
+        return tuple(self.entry(i, j) for i in range(self.rows))
 
     def row_lists(self):
-        """Mutable copy of the entries, for elimination routines."""
-        return [list(row) for row in self._data]
+        """Mutable dense copy of the entries."""
+        zero = self.field.zero
+        return [_dense(row, self.cols, zero) for row in self._data]
 
     # -- algebra -------------------------------------------------------------
 
@@ -540,39 +541,42 @@ class DenseMatrix:
         if other.field != self.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
-    def __add__(self, other):
+    def _merge(self, other, sub: bool):
+        """self - other or self + other, merging their sparse rows."""
         self._check_same(other)
         if self.shape != other.shape:
-            raise DimensionMismatch(f"{self.shape} + {other.shape}")
-        return self._from_rows(
-            self.field,
-            [
-                [a + b if b else a for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._data, other._data)
-            ],
-            self.cols,
-        )
+            raise DimensionMismatch(f"{self.shape} {'-' if sub else '+'} {other.shape}")
+        out = []
+        for ra, rb in zip(self._data, other._data):
+            acc = dict(ra)
+            for j, b in rb:
+                a = acc.get(j)
+                if a is None:
+                    acc[j] = -b if sub else b
+                    continue
+                a = a - b if sub else a + b
+                if a:
+                    acc[j] = a
+                else:
+                    del acc[j]
+            out.append(sorted(acc.items()))  # distinct columns: values are never compared
+        return self._from_rows(self.field, out, self.cols)
+
+    def __add__(self, other):
+        return self._merge(other, False)
 
     def __sub__(self, other):
-        self._check_same(other)
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"{self.shape} - {other.shape}")
-        return self._from_rows(
-            self.field,
-            [
-                [a - b if b else a for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._data, other._data)
-            ],
-            self.cols,
-        )
+        return self._merge(other, True)
 
     def __neg__(self):
-        rows = [[-a if a else a for a in row] for row in self._data]
+        rows = [[(j, -a) for j, a in row] for row in self._data]
         return self._from_rows(self.field, rows, self.cols)
 
     def scale(self, c):
         c = self.field.coerce(c)
-        rows = [[c * a if a else a for a in row] for row in self._data]
+        if not c:
+            return self.zeros(self.field, self.rows, self.cols)
+        rows = [[(j, c * a) for j, a in row] for row in self._data]
         return self._from_rows(self.field, rows, self.cols)
 
     def __mul__(self, other):
@@ -589,10 +593,14 @@ class DenseMatrix:
         return self.scale(other)
 
     def transpose(self):
-        return self._from_rows(self.field, list(zip(*self._data)) or [()] * self.cols, self.rows)
+        out = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self._data):
+            for j, a in row:
+                out[j].append((i, a))
+        return self._from_rows(self.field, out, self.rows)
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self._data)
+        return not any(self._data)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -610,75 +618,72 @@ class DenseMatrix:
 
     def direct_sum(self, other: "DenseMatrix") -> "DenseMatrix":
         self._check_same(other)
-        zero = self.field.zero
-        out = []
-        for row in self._data:
-            out.append(row + (zero,) * other.cols)
-        for row in other._data:
-            out.append((zero,) * self.cols + row)
-        return self._from_rows(self.field, out, self.cols + other.cols)
+        c = self.cols
+        shifted = [[(j + c, a) for j, a in row] for row in other._data]
+        return self._from_rows(self.field, self._data + tuple(shifted), c + other.cols)
 
     def pad(self, rows: int, cols: int) -> "DenseMatrix":
         """Embed into the top-left corner of a rows-by-cols zero matrix."""
         if rows < self.rows or cols < self.cols:
             raise DimensionMismatch("pad target is smaller than the matrix")
-        zero = self.field.zero
-        out = [row + (zero,) * (cols - self.cols) for row in self._data]
-        out += [(zero,) * cols] * (rows - self.rows)
-        return self._from_rows(self.field, out, cols)
+        return self._from_rows(self.field, self._data + ((),) * (rows - self.rows), cols)
 
     def submatrix(self, rows, cols) -> "DenseMatrix":
         """The entries at the given row and column indices, in the given order."""
         cols = list(cols)
-        return self._from_rows(self.field, [[self._data[i][j] for j in cols] for i in rows], len(cols))
+        moved = {}  # old column -> its new columns
+        for k, j in enumerate(cols):
+            moved.setdefault(range(self.cols)[j], []).append(k)
+        out = [
+            sorted((k, a) for j, a in self._data[i] if j in moved for k in moved[j])
+            for i in rows
+        ]
+        return self._from_rows(self.field, out, len(cols))
 
     def map_entries(self, fn, field: ExactField | None = None) -> "DenseMatrix":
         f = field or self.field
-        return self._from_rows(f, [[f.coerce(fn(a)) for a in row] for row in self._data], self.cols)
+        rows = [[f.coerce(fn(a)) for a in row] for row in self.row_lists()]
+        return self._from_rows(f, map(_sparse, rows), self.cols)
 
     # -- elimination kernels ---------------------------------------------------
 
     def rank(self) -> int:
-        rows = [row for row in self._data if any(row)]
+        rows = [row for row in self._data if row]
         if not rows:
             return 0
-        keep = [j for j in range(self.cols) if any(row[j] for row in rows)]
+        keep = sorted({j for row in rows for j, _ in row})
         if len(keep) < self.cols:
-            rows = [[row[j] for j in keep] for row in rows]
-        else:
-            rows = [list(row) for row in rows]
+            where = {j: k for k, j in enumerate(keep)}
+            rows = [[(where[j], a) for j, a in row] for row in rows]
+        width = len(keep)
         f = self.field
         if isinstance(f, PrimeField):
-            return len(_eliminate_gf([[a.v for a in row] for row in rows], f.p, reduced=False))
+            return len(_eliminate_gf([_gf_row(row, width) for row in rows], f.p, reduced=False))
         if isinstance(f, RationalField):
-            return len(_eliminate_int([_scale_rational_row(row) for row in rows], reduced=False))
+            return len(_eliminate_int([_scale_rational_row(row, width) for row in rows], reduced=False))
         # M = A + iB acts on x + iy as (Ax - By) + i(Bx + Ay): the real form
         # [[A, -B], [B, A]] has twice the Q(i)-rank of M.
         real = []
         for row in rows:
-            re, im = [a.re for a in row], [a.im for a in row]
-            real += [re + [-b for b in im], im + re]
-        return len(_eliminate_int([_scale_rational_row(row) for row in real], reduced=False)) // 2
+            re = [(j, a.re) for j, a in row if a.re]
+            im = [(j, a.im) for j, a in row if a.im]
+            real += [re + [(width + j, -b) for j, b in im], im + [(width + j, b) for j, b in re]]
+        return len(_eliminate_int([_scale_rational_row(row, 2 * width) for row in real], reduced=False)) // 2
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column tuple)."""
-        rows = self.row_lists()
-        pivots = _rref_in_place(rows, self.field)
+        rows, pivots = _rref(self.field, self._data, self.cols)
         return self._from_rows(self.field, rows, self.cols), tuple(pivots)
 
     def inverse(self) -> "DenseMatrix":
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        n = self.rows
-        one, zero = self.field.one, self.field.zero
-        aug = [
-            list(row) + [one if i == j else zero for j in range(n)]
-            for i, row in enumerate(self._data)
-        ]
-        pivots = _rref_in_place(aug, self.field)
+        n, one = self.rows, self.field.one
+        aug = [row + ((n + i, one),) for i, row in enumerate(self._data)]
+        rows, pivots = _rref(self.field, aug, 2 * n)
         if len(pivots) < n or any(p >= n for p in pivots):
             raise SingularMatrixError("matrix is singular")
-        return self._from_rows(self.field, [row[n:] for row in aug], n)
+        return self._from_rows(self.field, [[(j - n, a) for j, a in row if j >= n] for row in rows], n)
 
     def kernel_basis(self) -> "DenseMatrix":
         """Matrix whose columns span the right null space.
@@ -686,26 +691,19 @@ class DenseMatrix:
         The column count equals cols - rank; a full-rank square input yields
         a matrix with zero columns.
         """
-        rows = self.row_lists()
-        pivots = _rref_in_place(rows, self.field)
+        rows, pivots = _rref(self.field, self._data, self.cols)
         pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
-        one, zero = self.field.one, self.field.zero
-        cols = []
-        for fc in free:
-            vec = [zero] * self.cols
-            vec[fc] = one
-            for r, pc in enumerate(pivots):
-                vec[pc] = -rows[r][fc]
-            cols.append(vec)
-        return self._from_rows(self.field, list(zip(*cols)) or [()] * self.cols, len(cols))
+        free = {fc: k for k, fc in enumerate(j for j in range(self.cols) if j not in pivot_set)}
+        # free column fc gives the kernel vector e_fc - sum_r rref[r][fc] e_pivot(r)
+        out = [((free[j], self.field.one),) if j in free else () for j in range(self.cols)]
+        for row, pc in zip(rows, pivots):
+            out[pc] = [(free[j], -a) for j, a in row if j in free]
+        return self._from_rows(self.field, out, len(free))
 
     def column_space_basis(self) -> "DenseMatrix":
         """Original columns indexed by the pivot columns of the RREF."""
-        rows = self.row_lists()
-        pivots = _rref_in_place(rows, self.field)
-        basis = [[row[j] for j in pivots] for row in self._data]
-        return self._from_rows(self.field, basis, len(pivots))
+        _, pivots = _rref(self.field, self._data, self.cols)
+        return self.submatrix(range(self.rows), pivots)
 
     def solve_right(self, rhs: "DenseMatrix") -> "DenseMatrix":
         """Some X with self * X = rhs, or ValueError when inconsistent."""
@@ -713,16 +711,13 @@ class DenseMatrix:
         if rhs.rows != self.rows:
             raise DimensionMismatch(f"{self.shape} X = {rhs.shape}")
         n, w = self.cols, rhs.cols
-        aug = [list(ra) + list(rb) for ra, rb in zip(self._data, rhs._data)]
-        pivots = _rref_in_place(aug, self.field)
-        for r, pc in enumerate(pivots):
-            if pc >= n:
-                raise ValueError("inconsistent linear system")
-        zero = self.field.zero
-        out = [[zero] * w for _ in range(n)]
-        for r, pc in enumerate(pivots):
-            for j in range(w):
-                out[pc][j] = aug[r][n + j]
+        aug = [ra + tuple((n + j, b) for j, b in rb) for ra, rb in zip(self._data, rhs._data)]
+        rows, pivots = _rref(self.field, aug, n + w)
+        if any(pc >= n for pc in pivots):
+            raise ValueError("inconsistent linear system")
+        out = [()] * n
+        for row, pc in zip(rows, pivots):
+            out[pc] = [(j - n, a) for j, a in row if j >= n]
         return self._from_rows(self.field, out, w)
 
     # -- text format -----------------------------------------------------------
@@ -730,7 +725,7 @@ class DenseMatrix:
     def to_text(self) -> str:
         f = self.field
         lines = [f"{self.rows} {self.cols} {f.tag}"]
-        for row in self._data:
+        for row in self.row_lists():
             lines.append(" ".join(f.format_scalar(a) for a in row))
         return "\n".join(lines) + "\n"
 
@@ -744,7 +739,7 @@ class DenseMatrix:
                 raise ValueError(f"matrix text has a negative shape {rows}x{cols}")
             field = field_from_tag(next(tokens))
             # parse_scalar is the text format's coercion: it yields field elements
-            data = [[field.parse_scalar(tokens) for _ in range(cols)] for _ in range(rows)]
+            data = [_sparse([field.parse_scalar(tokens) for _ in range(cols)]) for _ in range(rows)]
         except StopIteration:
             raise ValueError("matrix text is truncated") from None
         if next(tokens, None) is not None:
@@ -754,7 +749,7 @@ class DenseMatrix:
     def __repr__(self):
         f = self.field
         body = "; ".join(
-            " ".join(f.format_scalar(a) for a in row) for row in self._data[:6]
+            " ".join(f.format_scalar(a) for a in self.row(i)) for i in range(min(self.rows, 6))
         )
         if self.rows > 6:
             body += "; ..."
@@ -770,8 +765,7 @@ def hstack(mats) -> DenseMatrix:
             raise DimensionMismatch("hstack row counts differ")
         if m.field != field:
             raise FieldMismatch("hstack over mixed fields")
-    data = [sum((m.row(i) for m in mats), ()) for i in range(nrows)]
-    return DenseMatrix._from_rows(field, data, sum(m.cols for m in mats))
+    return vstack(m.transpose() for m in mats).transpose()
 
 
 def vstack(mats) -> DenseMatrix:
@@ -791,110 +785,110 @@ def vstack(mats) -> DenseMatrix:
 # -- kernel internals ------------------------------------------------------------
 
 
-def _product(field, arows, brows, ncols):
-    """The rows of A * B, skipping zero operands.
+def _sparse(row):
+    """The (column, value) pairs of the nonzero entries of a dense row."""
+    return tuple([(j, a) for j, a in enumerate(row) if a])
 
-    GF(p) accumulates the ints a.v * b.v and boxes each entry once.  Q puts B
-    over one common denominator and each row of A over its own, accumulates
-    integer numerators and builds one Fraction per nonzero entry.  Q(i)
-    accumulates boxed scalars.
-    """
-    zero = field.zero
-    out = []
-    if isinstance(field, PrimeField):
-        p = field.p
-        bnz = [[(j, b.v) for j, b in enumerate(row) if b.v] for row in brows]
-        for arow in arows:
-            acc = [0] * ncols
-            for a, nz in zip(arow, bnz):
-                a = a.v
-                if a:
-                    for j, b in nz:
-                        acc[j] += a * b
-            out.append([FpElement(p, v) for v in acc])
-        return out
-    bnz = [[(j, b) for j, b in enumerate(row) if b] for row in brows]
-    if isinstance(field, RationalField):
-        den_b = math.lcm(*[b.denominator for nz in bnz for _, b in nz])
-        bnz = [[(j, b.numerator * (den_b // b.denominator)) for j, b in nz] for nz in bnz]
-        for arow in arows:
-            terms = [(a, nz) for a, nz in zip(arow, bnz) if nz and a]
-            if not terms:
-                out.append((zero,) * ncols)
-                continue
-            den_a = math.lcm(*[a.denominator for a, _ in terms])
-            acc = [0] * ncols
-            for a, nz in terms:
-                a = a.numerator * (den_a // a.denominator)
-                for j, b in nz:
-                    acc[j] += a * b
-            den = den_a * den_b
-            out.append([Fraction(v, den) if v else zero for v in acc])
-        return out
-    for arow in arows:
-        acc = [zero] * ncols
-        for a, nz in zip(arow, bnz):
-            if a:
-                for j, b in nz:
-                    acc[j] = acc[j] + a * b
-        out.append(acc)
+
+def _dense(row, width: int, zero) -> list:
+    """The dense list of `width` entries of a row of (column, value) pairs."""
+    out = [zero] * width
+    for j, a in row:
+        out[j] = a
     return out
 
 
-def _rref_in_place(rows, field) -> list[int]:
-    """Reduce lists of field elements to RREF in place; returns the pivot columns.
+def _gf_row(row, width: int) -> list:
+    """The dense list of representatives of a sparse row over GF(p)."""
+    return _dense([(j, a.v) for j, a in row], width, 0)
 
-    GF(p) eliminates ints mod p and Q runs fraction-free on integer rows,
-    each boxing every entry once at the end; Q(i) divides boxed scalars.
+
+def _scale_rational_row(row, width: int) -> list:
+    """The dense primitive integer row proportional to a sparse row of fractions."""
+    den = math.lcm(*[a.denominator for _, a in row])
+    vals = [a.numerator * (den // a.denominator) for _, a in row]
+    g = math.gcd(*vals) or 1
+    return _dense([(j, v // g) for (j, _), v in zip(row, vals)], width, 0)
+
+
+def _product(field, arows, brows, ncols):
+    """The sparse rows of A * B: each pair (k, a) of a row of A adds a * (row k
+    of B) into a dense accumulator, whose nonzeros are boxed into the result.
+
+    GF(p) accumulates the ints a.v * b.v.  Q puts B over one common denominator
+    and each row of A over its own and accumulates integer numerators.  Q(i)
+    accumulates boxed scalars.
     """
-    if not rows:
-        return []
+    out = []
     if isinstance(field, PrimeField):
         p = field.p
-        ints = [[a.v for a in row] for row in rows]
-        pivots = _eliminate_gf(ints, p, reduced=True)
-        rows[:] = [[FpElement(p, v) for v in row] for row in ints]
-        return pivots
+        bints = [[(j, b.v) for j, b in row] for row in brows]
+        for arow in arows:
+            acc = [0] * ncols
+            for k, a in arow:
+                a = a.v
+                for j, b in bints[k]:
+                    acc[j] += a * b
+            out.append([(j, FpElement(p, v)) for j, v in enumerate(acc) if v % p])
+        return out
     if isinstance(field, RationalField):
-        ints = [_scale_rational_row(row) for row in rows]
+        den_b = math.lcm(*[b.denominator for row in brows for _, b in row])
+        bints = [[(j, b.numerator * (den_b // b.denominator)) for j, b in row] for row in brows]
+        for arow in arows:
+            terms = [(a, bints[k]) for k, a in arow if bints[k]]
+            den_a = math.lcm(*[a.denominator for a, _ in terms])
+            acc = [0] * ncols
+            for a, row in terms:
+                a = a.numerator * (den_a // a.denominator)
+                for j, b in row:
+                    acc[j] += a * b
+            den = den_a * den_b
+            out.append([(j, Fraction(acc[j], den)) for j in compress(range(ncols), acc)])
+        return out
+    zero = field.zero
+    for arow in arows:
+        acc = [zero] * ncols
+        for k, a in arow:
+            for j, b in brows[k]:
+                acc[j] = acc[j] + a * b
+        out.append(_sparse(acc))
+    return out
+
+
+def _rref(field, rows, ncols: int):
+    """The RREF of sparse rows of field elements: (sparse rows, pivot columns).
+
+    GF(p) eliminates ints mod p and Q runs fraction-free on integer rows, each
+    boxing every nonzero entry once at the end; Q(i) divides boxed scalars.
+    """
+    if not rows:
+        return [], []
+    if isinstance(field, PrimeField):
+        p = field.p
+        ints = [_gf_row(row, ncols) for row in rows]
+        pivots = _eliminate_gf(ints, p, reduced=True)
+        return [[(j, FpElement(p, v)) for j, v in enumerate(row) if v] for row in ints], pivots
+    if isinstance(field, RationalField):
+        ints = [_scale_rational_row(row, ncols) for row in rows]
         pivots = _eliminate_int(ints, reduced=True)
-        zero = field.zero
-        for i, row in enumerate(ints):
-            piv = row[pivots[i]] if i < len(pivots) else 1  # rows past the rank are zero
-            rows[i] = [Fraction(v, piv) if v else zero for v in row]
-        return pivots
-    nrows, ncols = len(rows), len(rows[0])
+        out = [[(j, Fraction(v, row[pc])) for j, v in enumerate(row) if v] for row, pc in zip(ints, pivots)]
+        return out + [()] * (len(rows) - len(pivots)), pivots  # rows past the rank are zero
+    dense = [_dense(row, ncols, field.zero) for row in rows]
     pivots = []
-    r = 0
     for c in range(ncols):
-        if r >= nrows:
-            break
-        p = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                p = i
-                break
+        r = len(pivots)
+        p = next((i for i in range(r, len(dense)) if dense[i][c]), None)
         if p is None:
             continue
-        rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
-        if piv != field.one:
-            rows[r] = [a / piv if a else a for a in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                m = rows[i][c]
-                rows[i] = [a - m * b if b else a for a, b in zip(rows[i], rows[r])]
+        dense[r], dense[p] = dense[p], dense[r]
+        inv = field.one / dense[r][c]
+        rowr = dense[r] = [inv * a for a in dense[r]]
+        for i, row in enumerate(dense):
+            m = row[c]
+            if m and i != r:
+                dense[i] = [a - m * b for a, b in zip(row, rowr)]
         pivots.append(c)
-        r += 1
-    return pivots
-
-
-def _scale_rational_row(row):
-    """The primitive integer row proportional to a row of fractions."""
-    den = math.lcm(*[a.denominator for a in row])
-    ints = [a.numerator * (den // a.denominator) for a in row]
-    g = math.gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
+    return [_sparse(row) for row in dense], pivots
 
 
 def _eliminate_int(rows, reduced: bool) -> list[int]:

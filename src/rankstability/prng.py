@@ -75,21 +75,22 @@ def random_unimodular(field, rng: XorShift64Star, n: int):
 
     Determinant-one integer conjugators keep entry sizes small under exact
     arithmetic, unlike inverses of dense random matrices whose denominators
-    carry the full determinant.
+    carry the full determinant.  The transvections act on plain ints, and
+    the two products are coerced into `field` once at the end: reduction
+    from the integers is a ring map, so this equals the product over `field`.
     """
     from .exactfield import DenseMatrix
 
-    one, zero = field.one, field.zero
-    fwd = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    fwd = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(2 * n):
         i = rng.below(n)
         j = rng.below(n)
         if i == j:
             continue
-        c = field.from_int(1 if rng.below(2) else -1)
+        c = 1 if rng.below(2) else -1
         # left-multiply fwd by (I + c E_ij); right-multiply inv by (I - c E_ij)
         fwd[i] = [a + c * b for a, b in zip(fwd[i], fwd[j])]
         for row in inv:
-            row[j] = row[j] - c * row[i]
+            row[j] -= c * row[i]
     return DenseMatrix(field, fwd), DenseMatrix(field, inv)

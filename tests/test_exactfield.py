@@ -344,7 +344,16 @@ def test_immutability_and_hash():
     b = DenseMatrix(QQ, [[1, 2], [3, 4]])
     assert a == b and hash(a) == hash(b)
     with pytest.raises(TypeError):
-        a._data[0][0] = 5  # tuples reject item assignment
+        a.row(0)[0] = 5  # rows are tuples
+    copy = a.row_lists()
+    copy[0][0] = 5  # a mutable copy, not a view
+    ops = [lambda: a + b, lambda: a - b, lambda: -a, lambda: a.scale(2), lambda: a * b,
+           lambda: a.transpose(), lambda: a.direct_sum(b), lambda: a.pad(3, 3),
+           lambda: a.submatrix([1], [0, 0]), lambda: a.inverse(), lambda: a.kernel_basis(),
+           lambda: a.rref(), lambda: a.rank(), lambda: hstack([a, b]), lambda: vstack([a, b])]
+    for op in ops:
+        op()
+        assert a.row_lists() == b.row_lists() == [[1, 2], [3, 4]]
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +450,47 @@ def test_kernel_results_hold_field_elements(case):
         results.append(sq.inverse())
     for m in results:
         assert_field_elements(m, field)
+
+
+CANONICAL_FIELDS = [QQ, GF(2), GF(7), QQI]
+
+
+@st.composite
+def canonical_cases(draw):
+    field = draw(st.sampled_from(CANONICAL_FIELDS))
+    r, k, c = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return (field, draw(matrices(field, r, k)), draw(matrices(field, r, k)),
+            draw(matrices(field, k, c)), draw(matrices(field, k, k)))
+
+
+def assert_canonical(m):
+    """m equals, and hashes like, the matrix its dense entries build."""
+    twin = DenseMatrix(m.field, m.row_lists()) if m.rows else DenseMatrix.zeros(m.field, 0, m.cols)
+    assert twin.shape == m.shape
+    assert m == twin and hash(m) == hash(twin)
+
+
+@settings(max_examples=150, deadline=None)
+@given(canonical_cases())
+def test_kernel_results_are_canonical(case):
+    """A stored zero would make equal matrices compare unequal."""
+    field, a, b, c, sq = case
+    e01 = DenseMatrix.elementary(field, 2, 2, 0, 1)
+    minus_one = field.characteristic - 1  # -1, or p - 1: sums that cancel mod p
+    cancelled = [a - a, a + (-a), a + a.scale(minus_one), a.scale(field.characteristic),
+                 sq * sq.transpose() - (sq * sq.transpose()).transpose().transpose()]
+    for m in cancelled:
+        assert m.is_zero() and m == DenseMatrix.zeros(field, *m.shape)
+    assert e01 * e01 == DenseMatrix.zeros(field, 2, 2)
+    assert (a + b) - b == a and (a - b) + b == a and -(-a) == a
+    rsel, csel = range(a.rows - 1, -1, -1), [j for j in range(a.cols)][::-1] * 2
+    results = [a + b, a - b, -a, a.scale(2), a * c, (a + b) * c - b * c, a.transpose(),
+               a.submatrix(rsel, csel), a.direct_sum(c), a.pad(a.rows + 1, a.cols + 2),
+               hstack([a, b]), vstack([a, b]), a.kernel_basis(), a.rref()[0], e01 * e01, *cancelled]
+    if sq.rank() == sq.rows:
+        results += [sq.inverse(), sq * sq.inverse()]
+    for m in results:
+        assert_canonical(m)
 
 
 @pytest.mark.parametrize("field", FIELDS)
