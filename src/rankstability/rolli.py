@@ -205,9 +205,8 @@ class TauFamily:
             delta = mat - ident
             if delta.rank() > 1:
                 raise ValueError(f"tau({j}) is not within rank one of the identity")
-            self._moved[j] = frozenset(
-                i for i in range(n) if any(delta.row(i)) or any(delta.column(i))
-            )
+            cols = delta.transpose()
+            self._moved[j] = frozenset(i for i in range(n) if any(delta.row(i)) or any(cols.row(i)))
         for j in sorted(self._map):
             if j > 0 and self._map[j] * self._map[-j] != ident:
                 raise ValueError(f"tau({j}) and tau({-j}) are not inverse")
@@ -399,6 +398,7 @@ class ExplicitRep(FreeGroupRep):
         self.field = a.field
         self._gens = {"a": a, "b": b}
         self._powers: dict = {}
+        self._evals: dict = {}
 
     def _power(self, gen: str, k: int) -> DenseMatrix:
         key = (gen, k)
@@ -419,11 +419,14 @@ class ExplicitRep(FreeGroupRep):
         return out
 
     def eval(self, word: ReducedWord) -> DenseMatrix:
-        out = None
-        for gen, exp in word.syllables:
-            m = self._power(gen, exp)
-            out = m if out is None else out * m
-        return out if out is not None else DenseMatrix.identity(self.field, self.dim)
+        """The image of `word`, multiplied out once per word and instance."""
+        out = self._evals.get(word)
+        if out is None:
+            for gen, exp in word.syllables:
+                m = self._power(gen, exp)
+                out = m if out is None else out * m
+            out = self._evals[word] = out if out is not None else DenseMatrix.identity(self.field, self.dim)
+        return out
 
 
 class MonomialRep(ExplicitRep):
