@@ -882,11 +882,11 @@ def _rref(field, rows, ncols: int):
             continue
         dense[r], dense[p] = dense[p], dense[r]
         inv = field.one / dense[r][c]
-        rowr = dense[r] = [inv * a for a in dense[r]]
+        rowr = dense[r] = [inv * a if a else a for a in dense[r]]
         for i, row in enumerate(dense):
             m = row[c]
             if m and i != r:
-                dense[i] = [a - m * b for a, b in zip(row, rowr)]
+                dense[i] = [a - m * b if b else a for a, b in zip(row, rowr)]
         pivots.append(c)
     return [_sparse(row) for row in dense], pivots
 
