@@ -77,8 +77,8 @@ def corner_frame(field, n: int, k: int) -> CompressionFrame:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     ident = DenseMatrix.identity(field, n)
-    iota = DenseMatrix(field, [row[:k] for row in [ident.row(i) for i in range(n)]])
-    proj = DenseMatrix(field, [ident.row(i) for i in range(k)])
+    iota = ident.submatrix(range(n), range(k))
+    proj = ident.submatrix(range(k), range(n))
     return CompressionFrame(iota, proj)
 
 
@@ -100,7 +100,7 @@ def random_frame(field, n: int, k: int, rng: XorShift64Star) -> CompressionFrame
         if full.rank() == n:
             break
     inv = full.inverse()
-    proj = DenseMatrix(field, [inv.row(i) for i in range(k)])
+    proj = inv.submatrix(range(k), range(n))
     return CompressionFrame(iota, proj)
 
 
@@ -180,22 +180,18 @@ class AlignmentReport:
 
 def _complete_to_invertible(partial: DenseMatrix) -> DenseMatrix:
     """Extend independent columns to a basis using standard basis vectors."""
-    field = partial.field
     k = partial.rows
-    cols = [list(partial.column(j)) for j in range(partial.cols)]
-    rank = DenseMatrix(field, list(zip(*cols))).rank() if cols else 0
+    basis, rank = partial, partial.rank()
     for j in range(k):
         if rank == k:
             break
-        cand = [field.one if i == j else field.zero for i in range(k)]
-        trial = cols + [cand]
-        r = DenseMatrix(field, list(zip(*trial))).rank()
+        trial = hstack([basis, DenseMatrix.elementary(partial.field, k, 1, j, 0)])
+        r = trial.rank()
         if r > rank:
-            cols = trial
-            rank = r
+            basis, rank = trial, r
     if rank != k:
         raise ValueError("could not complete columns to a basis")
-    return DenseMatrix(field, list(zip(*cols)))
+    return basis
 
 
 def align_compressions(frame1: CompressionFrame, frame2: CompressionFrame, matrices):
@@ -219,8 +215,8 @@ def align_compressions(frame1: CompressionFrame, frame2: CompressionFrame, matri
     stacked = hstack([frame1.iota, -frame2.iota])
     ker = stacked.kernel_basis()  # 2k x w
     w = ker.cols
-    u_coords = DenseMatrix(field, [ker.row(i) for i in range(k)]) if w else None
-    v_coords = DenseMatrix(field, [ker.row(i) for i in range(k, 2 * k)]) if w else None
+    u_coords = ker.submatrix(range(k), range(w)) if w else None
+    v_coords = ker.submatrix(range(k, 2 * k), range(w)) if w else None
 
     c1 = _complete_to_invertible(u_coords) if w else DenseMatrix.identity(field, k)
     c2 = _complete_to_invertible(v_coords) if w else DenseMatrix.identity(field, k)
