@@ -30,7 +30,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from itertools import compress
+from itertools import accumulate, compress
 from fractions import Fraction
 
 from .errors import (
@@ -463,9 +463,8 @@ class DenseMatrix:
     canonical, so equality and hashing compare it directly.  Operations
     return new matrices, and instances are safe to share between threads.
     ``_from_rows`` wraps kernel results unchecked and keeps the column count
-    of matrices without rows.  Rows are lists because CPython caches up to
-    2000 freed tuples of each length below 20 until a full collection:
-    tuple rows kept them full, for 2 MB more peak RSS on sl2-distance runs.
+    of matrices without rows.  Rows are lists: CPython caches freed tuples
+    shorter than 20 until a full collection, which cost 2 MB of peak RSS.
     """
 
     __slots__ = ("field", "rows", "cols", "_data")
@@ -505,10 +504,8 @@ class DenseMatrix:
 
     @classmethod
     def elementary(cls, field: ExactField, rows: int, cols: int, i: int, j: int, value=1):
-        data = [()] * rows
-        value = field.coerce(value)
-        if value:
-            data[i] = ((range(cols)[j], value),)
+        data, value = [()] * rows, field.coerce(value)
+        data[i] = ((range(cols)[j], value),) if value else ()
         return cls._from_rows(field, data, cols)
 
     # -- access --------------------------------------------------------------
@@ -704,8 +701,7 @@ class DenseMatrix:
 
     def column_space_basis(self) -> "DenseMatrix":
         """Original columns indexed by the pivot columns of the RREF."""
-        _, pivots = _rref(self.field, self._data, self.cols)
-        return self.submatrix(range(self.rows), pivots)
+        return self.submatrix(range(self.rows), _rref(self.field, self._data, self.cols)[1])
 
     def solve_right(self, rhs: "DenseMatrix") -> "DenseMatrix":
         """Some X with self * X = rhs, or ValueError when inconsistent."""
@@ -767,7 +763,9 @@ def hstack(mats) -> DenseMatrix:
             raise DimensionMismatch("hstack row counts differ")
         if m.field != field:
             raise FieldMismatch("hstack over mixed fields")
-    return vstack(m.transpose() for m in mats).transpose()
+    offsets = [0, *accumulate(m.cols for m in mats)]
+    data = [[(j + off, a) for m, off in zip(mats, offsets) for j, a in m._data[i]] for i in range(nrows)]
+    return DenseMatrix._from_rows(field, data, offsets[-1])
 
 
 def vstack(mats) -> DenseMatrix:
@@ -802,15 +800,20 @@ def _dense(row, width: int, zero) -> list:
 
 def _gf_row(row, width: int) -> list:
     """The dense list of representatives of a sparse row over GF(p)."""
-    return _dense([(j, a.v) for j, a in row], width, 0)
+    ints = [0] * width
+    for j, a in row:
+        ints[j] = a.v
+    return ints
 
 
 def _scale_rational_row(row, width: int) -> list:
     """The dense primitive integer row proportional to a sparse row of fractions."""
     den = math.lcm(*[a.denominator for _, a in row])
-    vals = [a.numerator * (den // a.denominator) for _, a in row]
-    g = math.gcd(*vals) or 1
-    return _dense([(j, v // g) for (j, _), v in zip(row, vals)], width, 0)
+    ints = [0] * width
+    for j, a in row:
+        ints[j] = a.numerator * (den // a.denominator)
+    g = math.gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
 def _product(field, arows, brows, ncols):
