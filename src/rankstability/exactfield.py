@@ -9,19 +9,19 @@ this package certifies.
 ``DenseMatrix`` stores each row as its nonzero entries only: a list of
 (column, field element) pairs sorted by column, so every kernel touches the
 nonzeros alone.  Sums merge rows, and products run row by row (Gustavson).
-Over GF(p) and Q, products and eliminations unbox the nonzeros to plain
-Python ints and box each nonzero result entry once.  GF(p) works on
-representatives modulo p.  Q puts rows over common denominators: a product
-accumulates integer numerators, and elimination is fraction-free (Bareiss),
-which keeps intermediate entries as minors of the input.  Rank runs the
-forward half of each elimination, and Gauss-Jordan (behind ``rref``,
-``inverse``, ``kernel_basis``, ``column_space_basis`` and ``solve_right``) the
-reduced form.  Q(i) products and Gauss-Jordan stay on boxed scalars; Q(i) rank
-runs the integer kernel on the real form [[A, -B], [B, A]] of M = A + iB,
-which has twice the rank of M.
+Products and eliminations unbox the nonzeros to plain Python ints and box
+each nonzero result entry once.  GF(p) works on representatives modulo p.  Q
+puts rows over common denominators: a product accumulates integer
+numerators, and elimination is fraction-free (Bareiss), which keeps
+intermediate entries as minors of the input.  Q(i) runs the Q kernels on the
+real form, which sends a + bi to the block [[a, -b], [b, a]]: a ring map
+that doubles the rank.  Rank runs the forward half of each elimination, and
+Gauss-Jordan (behind ``rref``, ``inverse``, ``kernel_basis``,
+``column_space_basis`` and ``solve_right``) the reduced form.
 
 ``DenseMatrix(field, rows)``, ``map_entries`` and ``from_text`` take dense
-rows and are the coercion boundary; kernel results are wrapped from field
+rows, and ``DenseMatrix.from_entries`` takes the nonzeros of a sparse one;
+these are the coercion boundary.  Kernel results are wrapped from field
 elements without coercing them again.
 """
 
@@ -429,15 +429,9 @@ class PrimeField(ExactField):
 QQ = RationalField()
 QQI = GaussianRationalField()
 
-_GF_CACHE: dict[int, PrimeField] = {}
-
-
+@functools.cache
 def GF(p: int) -> PrimeField:
-    f = _GF_CACHE.get(p)
-    if f is None:
-        f = PrimeField(p)
-        _GF_CACHE[p] = f
-    return f
+    return PrimeField(p)
 
 
 def field_from_tag(tag: str) -> ExactField:
@@ -462,9 +456,11 @@ class DenseMatrix:
     the nonzero entries only; no method mutates one.  The storage is
     canonical, so equality and hashing compare it directly.  Operations
     return new matrices, and instances are safe to share between threads.
-    ``_from_rows`` wraps kernel results unchecked and keeps the column count
-    of matrices without rows.  Rows are lists: CPython caches freed tuples
-    shorter than 20 until a full collection, which cost 2 MB of peak RSS.
+    ``DenseMatrix(field, rows)`` takes dense rows and ``from_entries`` the
+    nonzeros of a structured matrix.  ``_from_rows`` wraps kernel results
+    unchecked and keeps the column count of matrices without rows.  Rows are
+    lists: CPython caches freed tuples shorter than 20 until a full
+    collection, which cost 2 MB of peak RSS.
     """
 
     __slots__ = ("field", "rows", "cols", "_data")
@@ -488,6 +484,20 @@ class DenseMatrix:
         return m
 
     @classmethod
+    def from_entries(cls, field: ExactField, rows: int, cols: int, entries) -> "DenseMatrix":
+        """The rows-by-cols matrix with the {(i, j): value} entries, zero elsewhere."""
+        data = [[] for _ in range(rows)]
+        for (i, j), value in entries.items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
+            value = field.coerce(value)
+            if value:
+                data[i].append((j, value))
+        for row in data:
+            row.sort()  # distinct columns: values are never compared
+        return cls._from_rows(field, data, cols)
+
+    @classmethod
     def identity(cls, field: ExactField, n: int) -> "DenseMatrix":
         one = field.one
         return cls._from_rows(field, [((i, one),) for i in range(n)], n)
@@ -498,15 +508,11 @@ class DenseMatrix:
 
     @classmethod
     def diagonal(cls, field: ExactField, entries) -> "DenseMatrix":
-        entries = [field.coerce(x) for x in entries]
-        rows = [((i, a),) if a else () for i, a in enumerate(entries)]
-        return cls._from_rows(field, rows, len(entries))
+        return cls.from_entries(field, len(entries), len(entries), {(i, i): a for i, a in enumerate(entries)})
 
     @classmethod
     def elementary(cls, field: ExactField, rows: int, cols: int, i: int, j: int, value=1):
-        data, value = [()] * rows, field.coerce(value)
-        data[i] = ((range(cols)[j], value),) if value else ()
-        return cls._from_rows(field, data, cols)
+        return cls.from_entries(field, rows, cols, {(i, j): value})
 
     # -- access --------------------------------------------------------------
 
@@ -660,14 +666,8 @@ class DenseMatrix:
             return len(_eliminate_gf([_gf_row(row, width) for row in rows], f.p, reduced=False))
         if isinstance(f, RationalField):
             return len(_eliminate_int([_scale_rational_row(row, width) for row in rows], reduced=False))
-        # M = A + iB acts on x + iy as (Ax - By) + i(Bx + Ay): the real form
-        # [[A, -B], [B, A]] has twice the Q(i)-rank of M.
-        real = []
-        for row in rows:
-            re = [(j, a.re) for j, a in row if a.re]
-            im = [(j, a.im) for j, a in row if a.im]
-            real += [re + [(width + j, -b) for j, b in im], im + [(width + j, b) for j, b in re]]
-        return len(_eliminate_int([_scale_rational_row(row, 2 * width) for row in real], reduced=False)) // 2
+        real = [_scale_rational_row(row, 2 * width) for row in _real_form(rows)]
+        return len(_eliminate_int(real, reduced=False)) // 2
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column tuple)."""
@@ -798,6 +798,27 @@ def _dense(row, width: int, zero) -> list:
     return out
 
 
+def _real_form(rows) -> list:
+    """The sparse real rows of sparse Q(i) rows: a + bi at (i, j) becomes the
+    block [[a, -b], [b, a]] at rows 2i, 2i + 1 and columns 2j, 2j + 1.
+
+    This is a ring map, and the real form of M has twice the rank of M.
+    """
+    out = []
+    for row in rows:
+        out.append([(k, x) for j, z in row for k, x in ((2 * j, z.re), (2 * j + 1, -z.im)) if x])
+        out.append([(k, x) for j, z in row for k, x in ((2 * j, z.im), (2 * j + 1, z.re)) if x])
+    return out
+
+
+def _complex_row(row) -> list:
+    """The Q(i) row z_j = x_2j - i x_2j+1 of a sparse real row sorted by column."""
+    parts = {}
+    for k, x in row:
+        parts.setdefault(k >> 1, [0, 0])[k & 1] = x
+    return [(j, GaussianRational(a, -b)) for j, (a, b) in parts.items()]
+
+
 def _gf_row(row, width: int) -> list:
     """The dense list of representatives of a sparse row over GF(p)."""
     ints = [0] * width
@@ -822,8 +843,10 @@ def _product(field, arows, brows, ncols):
 
     GF(p) accumulates the ints a.v * b.v.  Q puts B over one common denominator
     and each row of A over its own and accumulates integer numerators.  Q(i)
-    accumulates boxed scalars.
+    reads the even rows of the Q product of the real forms.
     """
+    if isinstance(field, GaussianRationalField):
+        return list(map(_complex_row, _product(QQ, _real_form(arows)[::2], _real_form(brows), 2 * ncols)))
     out = []
     if isinstance(field, PrimeField):
         p = field.p
@@ -836,27 +859,18 @@ def _product(field, arows, brows, ncols):
                     acc[j] += a * b
             out.append([(j, FpElement(p, v)) for j, v in enumerate(acc) if v % p])
         return out
-    if isinstance(field, RationalField):
-        den_b = math.lcm(*[b.denominator for row in brows for _, b in row])
-        bints = [[(j, b.numerator * (den_b // b.denominator)) for j, b in row] for row in brows]
-        for arow in arows:
-            terms = [(a, bints[k]) for k, a in arow if bints[k]]
-            den_a = math.lcm(*[a.denominator for a, _ in terms])
-            acc = [0] * ncols
-            for a, row in terms:
-                a = a.numerator * (den_a // a.denominator)
-                for j, b in row:
-                    acc[j] += a * b
-            den = den_a * den_b
-            out.append([(j, Fraction(acc[j], den)) for j in compress(range(ncols), acc)])
-        return out
-    zero = field.zero
+    den_b = math.lcm(*[b.denominator for row in brows for _, b in row])
+    bints = [[(j, b.numerator * (den_b // b.denominator)) for j, b in row] for row in brows]
     for arow in arows:
-        acc = [zero] * ncols
-        for k, a in arow:
-            for j, b in brows[k]:
-                acc[j] = acc[j] + a * b
-        out.append(_sparse(acc))
+        terms = [(a, bints[k]) for k, a in arow if bints[k]]
+        den_a = math.lcm(*[a.denominator for a, _ in terms])
+        acc = [0] * ncols
+        for a, row in terms:
+            a = a.numerator * (den_a // a.denominator)
+            for j, b in row:
+                acc[j] += a * b
+        den = den_a * den_b
+        out.append([(j, Fraction(acc[j], den)) for j in compress(range(ncols), acc)])
     return out
 
 
@@ -864,36 +878,25 @@ def _rref(field, rows, ncols: int):
     """The RREF of sparse rows of field elements: (sparse rows, pivot columns).
 
     GF(p) eliminates ints mod p and Q runs fraction-free on integer rows, each
-    boxing every nonzero entry once at the end; Q(i) divides boxed scalars.
+    boxing every nonzero entry once at the end.  Q(i) runs Q on the real form,
+    whose RREF is the real form of the Q(i) RREF: its pivots come in pairs
+    (2p, 2p + 1), and its row with pivot 2p reads back as the row with pivot p.
     """
     if not rows:
         return [], []
+    if isinstance(field, GaussianRationalField):
+        real, pivots = _rref(QQ, _real_form(rows), 2 * ncols)
+        out = list(map(_complex_row, real[: len(pivots) : 2]))
+        return out + [()] * (len(rows) - len(out)), [pc // 2 for pc in pivots[::2]]
     if isinstance(field, PrimeField):
         p = field.p
         ints = [_gf_row(row, ncols) for row in rows]
         pivots = _eliminate_gf(ints, p, reduced=True)
         return [[(j, FpElement(p, v)) for j, v in enumerate(row) if v] for row in ints], pivots
-    if isinstance(field, RationalField):
-        ints = [_scale_rational_row(row, ncols) for row in rows]
-        pivots = _eliminate_int(ints, reduced=True)
-        out = [[(j, Fraction(v, row[pc])) for j, v in enumerate(row) if v] for row, pc in zip(ints, pivots)]
-        return out + [()] * (len(rows) - len(pivots)), pivots  # rows past the rank are zero
-    dense = [_dense(row, ncols, field.zero) for row in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        p = next((i for i in range(r, len(dense)) if dense[i][c]), None)
-        if p is None:
-            continue
-        dense[r], dense[p] = dense[p], dense[r]
-        inv = field.one / dense[r][c]
-        rowr = dense[r] = [inv * a if a else a for a in dense[r]]
-        for i, row in enumerate(dense):
-            m = row[c]
-            if m and i != r:
-                dense[i] = [a - m * b if b else a for a, b in zip(row, rowr)]
-        pivots.append(c)
-    return [_sparse(row) for row in dense], pivots
+    ints = [_scale_rational_row(row, ncols) for row in rows]
+    pivots = _eliminate_int(ints, reduced=True)
+    out = [[(j, Fraction(v, row[pc])) for j, v in enumerate(row) if v] for row, pc in zip(ints, pivots)]
+    return out + [()] * (len(rows) - len(pivots)), pivots  # rows past the rank are zero
 
 
 def _eliminate_int(rows, reduced: bool) -> list[int]:

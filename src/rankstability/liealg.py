@@ -23,6 +23,7 @@ supremum, which no finite enumeration can reach.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -224,15 +225,9 @@ class ChevalleyBasis:
         return f"ChevalleyBasis(sl_{self.r})"
 
 
-_SL_CACHE: dict[int, ChevalleyBasis] = {}
-
-
+@functools.cache
 def build_sl(r: int) -> ChevalleyBasis:
-    basis = _SL_CACHE.get(r)
-    if basis is None:
-        basis = ChevalleyBasis(r)
-        _SL_CACHE[r] = basis
-    return basis
+    return ChevalleyBasis(r)
 
 
 @dataclass(eq=False)
@@ -352,24 +347,9 @@ def irreducible_sl2(d: int, field: ExactField = QQ) -> AlmostRep:
         raise ValueError("the highest weight must be a nonnegative integer")
     alg = build_sl(2)
     n = d + 1
-    fmat = DenseMatrix(
-        field,
-        [
-            [field.one if i == j + 1 else field.zero for j in range(n)]
-            for i in range(n)
-        ],
-    )
+    fmat = DenseMatrix.from_entries(field, n, n, {(k + 1, k): 1 for k in range(d)})
     hmat = DenseMatrix.diagonal(field, [d - 2 * k for k in range(n)])
-    emat = DenseMatrix(
-        field,
-        [
-            [
-                field.from_int((j) * (d - j + 1)) if i == j - 1 else field.zero
-                for j in range(n)
-            ]
-            for i in range(n)
-        ],
-    )
+    emat = DenseMatrix.from_entries(field, n, n, {(k - 1, k): k * (d - k + 1) for k in range(1, n)})
     return AlmostRep(alg, field, n, (fmat, hmat, emat), {"tag": "irreducible_sl2", "d": d})
 
 
@@ -396,11 +376,8 @@ def adjoint_rep(algebra: ChevalleyBasis, field: ExactField = QQ) -> AlmostRep:
     d = algebra.dim
     images = []
     for i in range(d):
-        cols = []
-        for j in range(d):
-            tab = algebra.bracket_table(i, j)
-            cols.append([field.from_int(tab.get(k, 0)) for k in range(d)])
-        images.append(DenseMatrix(field, list(zip(*cols))))
+        entries = {(k, j): c for j in range(d) for k, c in algebra.bracket_table(i, j).items()}
+        images.append(DenseMatrix.from_entries(field, d, d, entries))
     return AlmostRep(algebra, field, d, tuple(images), {"tag": "adjoint"})
 
 

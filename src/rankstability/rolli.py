@@ -238,22 +238,21 @@ class TauFamily:
 
 def preset_tau(kind: str, n: int, field: ExactField = QQ) -> TauFamily:
     """Built-in families: diag_involution, transposition, transvection."""
+    if n < 1:
+        raise ValueError("n must be positive")
     ident = DenseMatrix.identity(field, n)
     mapping: dict[int, DenseMatrix] = {}
     if kind == "diag_involution":
         if getattr(field, "characteristic", 0) == 2:
             raise ValueError("diag_involution needs characteristic != 2")
-        if n < 1:
-            raise ValueError("n must be positive")
         for j in range(1, n + 1):
             mat = ident - DenseMatrix.elementary(field, n, n, j - 1, j - 1, 2)
             mapping[j] = mat
             mapping[-j] = mat
     elif kind == "transposition":
         for j in range(1, n):
-            rows = [[field.one if i == c else field.zero for c in range(n)] for i in range(n)]
-            rows[j - 1], rows[j] = rows[j], rows[j - 1]
-            mat = DenseMatrix(field, rows)
+            perm = {j - 1: j, j: j - 1}
+            mat = DenseMatrix.from_entries(field, n, n, {(i, perm.get(i, i)): 1 for i in range(n)})
             mapping[j] = mat
             mapping[-j] = mat
     elif kind == "transvection":
@@ -443,10 +442,7 @@ class MonomialRep(ExplicitRep):
             perm = tuple(perm)
             if sorted(perm) != list(range(n)):
                 raise ValueError("not a permutation")
-            rows = [[0] * n for _ in range(n)]
-            for j in range(n):
-                rows[perm[j]][j] = scale[j]
-            images.append(DenseMatrix(field, rows))
+            images.append(DenseMatrix.from_entries(field, n, n, {(perm[j], j): scale[j] for j in range(n)}))
         super().__init__(*images)
 
 

@@ -205,16 +205,15 @@ def build_truncation(
     monos = truncation_monomials(algebra.m, n)
     index = {mono: i for i, mono in enumerate(monos)}
     dim = len(monos)
-    zero = field.zero
     images = []
     for gen in range(algebra.dim):
-        data = [[zero] * dim for _ in range(dim)]
-        for j, mono in enumerate(monos):
-            for out_mono, coeff in module.act(gen, mono).items():
-                row = index.get(out_mono)
-                if row is not None:
-                    data[row][j] = coeff
-        images.append(DenseMatrix(field, data))
+        entries = {
+            (index[out_mono], j): coeff
+            for j, mono in enumerate(monos)
+            for out_mono, coeff in module.act(gen, mono).items()
+            if out_mono in index
+        }
+        images.append(DenseMatrix.from_entries(field, dim, dim, entries))
     rep = AlmostRep(
         algebra,
         field,
@@ -712,8 +711,4 @@ def sl2_lowest_weight_intertwiner(d: int, field: ExactField = QQ) -> DenseMatrix
     coeffs = [field.one]
     for k in range(d):
         coeffs.append(coeffs[-1] * field.from_int(-(d - k) * (k + 1)))
-    zero = field.zero
-    data = [[zero] * n for _ in range(n)]
-    for k in range(n):
-        data[d - k][k] = coeffs[k]
-    return DenseMatrix(field, data)
+    return DenseMatrix.from_entries(field, n, n, {(d - k, k): c for k, c in enumerate(coeffs)})

@@ -141,7 +141,7 @@ def test_verma_build_serialization_roundtrip(tmp_path, capsys):
         capsys, "verma", "build", "--lambda", "1/2", "--n", "3", "--rep-out", rep_path
     )
     assert code == 0
-    rep = almostrep_from_text(open(rep_path).read())
+    rep = almostrep_from_text(Path(rep_path).read_text())
     assert rep.dim == 4
     assert rep.meta["n"] == 3
 
@@ -273,3 +273,12 @@ def test_sweep_example_matches_direct_runs(capsys):
         if entry["command"] == "compress.check":
             out = out[out.index("{\n"):]  # drop the per-trial JSON lines
         assert strip_timing(out) == swept
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+@pytest.mark.parametrize("preset", ["diag_involution", "transposition", "transvection"])
+@pytest.mark.parametrize("command", ["defect", "witness", "certify"])
+def test_rolli_nonpositive_n_is_usage_error(capsys, command, preset, n):
+    code, out, err = run_cli(capsys, "rolli", command, "--preset", preset, f"--n={n}")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: n must be positive"]

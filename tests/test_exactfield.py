@@ -477,6 +477,10 @@ def test_kernel_results_are_canonical(case):
     field, a, b, c, sq = case
     e01 = DenseMatrix.elementary(field, 2, 2, 0, 1)
     minus_one = field.characteristic - 1  # -1, or p - 1: sums that cancel mod p
+    p = field.characteristic  # 0, or a value that vanishes mod p
+    built = [DenseMatrix.from_entries(field, 2, 3, {(1, 2): 1, (0, 2): 0, (1, 0): p, (0, 0): minus_one}),
+             DenseMatrix.from_entries(field, 3, 2, {(2, 1): p}), DenseMatrix.diagonal(field, [0, p, 3]),
+             DenseMatrix.elementary(field, 2, 3, 1, 2, p)]
     cancelled = [a - a, a + (-a), a + a.scale(minus_one), a.scale(field.characteristic),
                  sq * sq.transpose() - (sq * sq.transpose()).transpose().transpose()]
     for m in cancelled:
@@ -486,11 +490,41 @@ def test_kernel_results_are_canonical(case):
     rsel, csel = range(a.rows - 1, -1, -1), [j for j in range(a.cols)][::-1] * 2
     results = [a + b, a - b, -a, a.scale(2), a * c, (a + b) * c - b * c, a.transpose(),
                a.submatrix(rsel, csel), a.direct_sum(c), a.pad(a.rows + 1, a.cols + 2),
-               hstack([a, b]), vstack([a, b]), a.kernel_basis(), a.rref()[0], e01 * e01, *cancelled]
+               hstack([a, b]), vstack([a, b]), a.kernel_basis(), a.rref()[0], e01 * e01, *cancelled, *built]
     if sq.rank() == sq.rows:
         results += [sq.inverse(), sq * sq.inverse()]
     for m in results:
         assert_canonical(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(canonical_cases())
+def test_from_entries_matches_dense_constructor(case):
+    """`a` comes from DenseMatrix(field, dense rows); every zero is given too."""
+    field, a, _, _, _ = case
+    entries = {(i, j): x for i, row in enumerate(a.row_lists()) for j, x in enumerate(row)}
+    for given in (entries, dict(reversed(entries.items())), {k: x for k, x in entries.items() if x}):
+        built = DenseMatrix.from_entries(field, a.rows, a.cols, given)
+        assert built.shape == a.shape and built == a
+    assert DenseMatrix.from_entries(field, a.rows, a.cols, {}) == DenseMatrix.zeros(field, a.rows, a.cols)
+
+
+def test_from_entries_coerces_its_values():
+    built = DenseMatrix.from_entries(QQ, 2, 2, {(0, 1): "1/2", (1, 0): 3})
+    assert built == DenseMatrix(QQ, [[0, "1/2"], [3, 0]])
+    built = DenseMatrix.from_entries(GF(7), 1, 2, {(0, 0): Fraction(1, 2), (0, 1): 14})
+    assert built == DenseMatrix(GF(7), [[4, 0]])
+    assert DenseMatrix.from_entries(QQI, 1, 1, {(0, 0): (1, -2)}).entry(0, 0) == GaussianRational(1, -2)
+    with pytest.raises(TypeError):
+        DenseMatrix.from_entries(QQ, 1, 1, {(0, 0): 0.5})
+
+
+@pytest.mark.parametrize("index", [(2, 0), (0, 3), (-1, 0), (0, -1), (5, 5)])
+def test_from_entries_rejects_out_of_range_index(index):
+    with pytest.raises(IndexError):
+        DenseMatrix.from_entries(QQ, 2, 3, {(0, 0): 1, index: 1})
+    with pytest.raises(IndexError):
+        DenseMatrix.from_entries(QQ, 2, 3, {index: 0})  # a zero value is checked too
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -510,7 +544,7 @@ def test_empty_shapes_survive(field, rows, cols):
 
 
 BIG_PRIME = 1000003
-INT_KERNEL_FIELDS = [QQ, GF(2), GF(7), GF(BIG_PRIME)]
+INT_KERNEL_FIELDS = [QQ, QQI, GF(2), GF(7), GF(BIG_PRIME)]
 
 
 def reference_rref(m):
@@ -549,10 +583,12 @@ def reference_kernel(m):
 @st.composite
 def int_kernel_matrices(draw, field, rows, cols):
     big = draw(st.booleans())
-    if field == QQ:
+    if field.characteristic == 0:
         nums = st.integers(-10**6, 10**6) if big else st.integers(-5, 5)
         dens = st.integers(1, 10**4) if big else st.integers(1, 4)
         entry = st.builds(Fraction, nums, dens)
+        if field == QQI:
+            entry = st.builds(GaussianRational, entry, entry)
     else:
         entry = st.integers(0, field.p - 1) if big else st.integers(-2, 2)
     if not rows:
