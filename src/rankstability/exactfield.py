@@ -6,23 +6,28 @@ deliberately rejected everywhere: matrix rank is a discontinuous function of
 the entries, so approximate pivoting could silently change every quantity
 this package certifies.
 
-``DenseMatrix`` stores each row as its nonzero entries only: a list of
-(column, field element) pairs sorted by column, so every kernel touches the
-nonzeros alone.  Sums merge rows, and products run row by row (Gustavson).
-Products and eliminations unbox the nonzeros to plain Python ints and box
-each nonzero result entry once.  GF(p) works on representatives modulo p.  Q
-puts rows over common denominators: a product accumulates integer
-numerators, and elimination is fraction-free (Bareiss), which keeps
-intermediate entries as minors of the input.  Q(i) runs the Q kernels on the
-real form, which sends a + bi to the block [[a, -b], [b, a]]: a ring map
-that doubles the rank.  Rank runs the forward half of each elimination, and
-Gauss-Jordan (behind ``rref``, ``inverse``, ``kernel_basis``,
-``column_space_basis`` and ``solve_right``) the reduced form.
+``DenseMatrix`` stores each row as its nonzero entries only, unboxed: a list
+of (column, value) pairs sorted by column, over one positive denominator per
+row.  Over GF(p) a value is its residue in [1, p), and every denominator is
+1; over Q a value is an int numerator; over Q(i) it is a pair (re, im) of int
+numerators.  A row is canonical (its denominator and numerators have gcd 1),
+so equal matrices store equal rows.  Every kernel runs on these ints.  Sums
+merge rows over the lcm of their denominators, and products run row by row
+(Gustavson) with the right factor over one common denominator.  Rank and
+Gauss-Jordan feed the numerators straight into a modular or a fraction-free
+(Bareiss) elimination, which keeps intermediate entries as minors of the
+input.  Q(i) runs the Q kernels on the real form, which sends a + bi to the
+block [[a, -b], [b, a]]: a ring map that doubles the rank.  Rank runs the
+forward half of each elimination, and Gauss-Jordan (behind ``rref``,
+``inverse``, ``kernel_basis``, ``column_space_basis`` and ``solve_right``)
+the reduced form.
 
-``DenseMatrix(field, rows)``, ``map_entries`` and ``from_text`` take dense
-rows, and ``DenseMatrix.from_entries`` takes the nonzeros of a sparse one;
-these are the coercion boundary.  Kernel results are wrapped from field
-elements without coercing them again.
+Field elements are made only at the boundary.  ``entry``, ``row``,
+``column``, ``row_lists`` and ``to_text`` box what they return.
+``DenseMatrix(field, rows)``, ``from_entries``, ``map_entries`` and
+``from_text`` coerce their input straight into storage through the field's
+``_row``, which turns an int or a ``Fraction`` into numerators without
+making a field element first.
 """
 
 from __future__ import annotations
@@ -59,6 +64,8 @@ __all__ = [
 
 
 def _as_fraction(x) -> Fraction:
+    if type(x) is Fraction:  # immutable: shared, not copied
+        return x
     if isinstance(x, float):
         raise TypeError("floating point is not allowed in exact arithmetic")
     return Fraction(x)
@@ -297,8 +304,38 @@ class ExactField:
         raise NotImplementedError
 
     def parse_scalar(self, tokens) -> object:
-        """Consume one entry from an iterator of whitespace tokens."""
+        """Consume one entry from an iterator of whitespace tokens; `coerce` accepts it."""
         raise NotImplementedError
+
+    # -- matrix storage ----------------------------------------------------------
+    # A matrix row is a list of (column, value) pairs, sorted by column and
+    # holding the nonzero entries only, over one positive row denominator.
+    # The defaults below serve int values: Q numerators, and GF(p) residues,
+    # whose rows all have denominator 1.
+
+    _one = 1  # the stored value of 1 over denominator 1
+
+    def _row(self, items) -> tuple:
+        """(row, den): the canonical storage of (column, scalar) pairs sorted by column."""
+        raise NotImplementedError
+
+    def _box(self, value, den):
+        """The field element `value / den`."""
+        raise NotImplementedError
+
+    def _mul(self, row, c) -> list:
+        """The row with each value times the stored value or int c."""
+        return [(j, a * c) for j, a in row]
+
+    def _neg(self, row) -> list:
+        return [(j, -a) for j, a in row]
+
+    def _canon(self, row, den) -> tuple:
+        """(row / g, den / g) for g = gcd(den, the row's values): canonical storage."""
+        if den == 1:
+            return row, 1
+        g = math.gcd(den, *[a for _, a in row])
+        return (row, den) if g == 1 else ([(j, a // g) for j, a in row], den // g)
 
     def __repr__(self):
         return self.tag
@@ -330,6 +367,23 @@ class RationalField(ExactField):
 
     def parse_scalar(self, tokens):
         return _parse_fraction(next(tokens))
+
+    def _row(self, items):
+        row, dens = [], []
+        for j, x in items:
+            if not isinstance(x, (int, Fraction)):
+                x = self.coerce(x)
+            if x:
+                row.append((j, x.numerator))
+                dens.append(x.denominator)
+        # reduced entries over the lcm of their denominators: already canonical
+        den = math.lcm(*dens)
+        if den > 1:
+            row = [(j, a * (den // d)) for (j, a), d in zip(row, dens)]
+        return row, den
+
+    def _box(self, value, den):
+        return Fraction(value, den)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -376,6 +430,37 @@ class GaussianRationalField(ExactField):
             raise ValueError(f"malformed Gaussian entry: {body} {marker}")
         return self._parse_token(body)
 
+    # A stored value is the pair (re, im) of ints; a row's pairs share its
+    # denominator.  Rows are built and reduced as the rows 2i of the real form.
+    _one = (1, 0)
+
+    def _row(self, items):
+        real = []
+        for j, x in items:
+            if isinstance(x, (int, Fraction)):
+                real.append((2 * j, x))
+            else:
+                x = self.coerce(x)
+                real += ((2 * j, x.re), (2 * j + 1, -x.im))
+        row, den = QQ._row(real)
+        return _complex_row(row), den
+
+    def _box(self, value, den):
+        return GaussianRational(Fraction(value[0], den), Fraction(value[1], den))
+
+    def _mul(self, row, c):
+        if isinstance(c, int):
+            return [(j, (a * c, b * c)) for j, (a, b) in row]
+        x, y = c
+        return [(j, (a * x - b * y, a * y + b * x)) for j, (a, b) in row]
+
+    def _neg(self, row):
+        return [(j, (-a, -b)) for j, (a, b) in row]
+
+    def _canon(self, row, den):
+        row, den = QQ._canon(_real_form([row], False)[0], den)
+        return _complex_row(row), den
+
     def __eq__(self, other):
         return isinstance(other, GaussianRationalField)
 
@@ -397,12 +482,18 @@ class PrimeField(ExactField):
         return FpElement(self.p, k)
 
     def coerce(self, x):
+        if isinstance(x, FpElement) and x.p == self.p:
+            return x
+        return FpElement(self.p, self._residue(x))
+
+    def _residue(self, x) -> int:
+        """The representative in [0, p) of a value `coerce` accepts."""
+        if isinstance(x, int):
+            return x % self.p
         if isinstance(x, FpElement):
             if x.p != self.p:
                 raise FieldMismatch(f"GF({x.p}) element used in GF({self.p})")
-            return x
-        if isinstance(x, int):
-            return FpElement(self.p, x)
+            return x.v
         if isinstance(x, str):
             x = _parse_fraction(x)
         if isinstance(x, Fraction):
@@ -410,14 +501,35 @@ class PrimeField(ExactField):
                 raise PrimeDenominatorError(
                     f"denominator {x.denominator} vanishes mod {self.p}"
                 )
-            return FpElement(self.p, x.numerator * pow(x.denominator, -1, self.p))
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
         raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
 
     def format_scalar(self, x) -> str:
         return str(x.v)
 
     def parse_scalar(self, tokens):
-        return FpElement(self.p, int(next(tokens)))
+        return int(next(tokens))
+
+    # A stored value is the residue in [1, p); every row has denominator 1.
+
+    def _row(self, items):
+        row, residue = [], self._residue
+        for j, x in items:
+            v = residue(x)
+            if v:
+                row.append((j, v))
+        return row, 1
+
+    def _box(self, value, den):
+        return FpElement(self.p, value)
+
+    def _mul(self, row, c):
+        p = self.p
+        return [(j, a * c % p) for j, a in row]
+
+    def _neg(self, row):
+        p = self.p
+        return [(j, p - a) for j, a in row]
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -446,41 +558,48 @@ def field_from_tag(tag: str) -> ExactField:
 
 
 # ---------------------------------------------------------------------------
-# Matrices with sparse rows
+# Matrices with sparse rows of unboxed scalars
 
 
 class DenseMatrix:
-    """Immutable matrix over an exact field, stored as sparse rows.
+    """Immutable matrix over an exact field, stored as sparse rows of unboxed scalars.
 
-    Each row is a list of (column, value) pairs, sorted by column, holding
-    the nonzero entries only; no method mutates one.  The storage is
-    canonical, so equality and hashing compare it directly.  Operations
-    return new matrices, and instances are safe to share between threads.
-    ``DenseMatrix(field, rows)`` takes dense rows and ``from_entries`` the
-    nonzeros of a structured matrix.  ``_from_rows`` wraps kernel results
-    unchecked and keeps the column count of matrices without rows.  Rows are
-    lists: CPython caches freed tuples shorter than 20 until a full
-    collection, which cost 2 MB of peak RSS.
+    ``_data`` holds one list per row of (column, value) pairs, sorted by
+    column, for the nonzero entries only, and ``_den`` one positive
+    denominator per row: entry (i, j) is value / _den[i].  A value is an int
+    in [1, p) over GF(p), whose denominators are all 1, an int numerator over
+    Q, and a pair (re, im) of int numerators over Q(i).  Every row is
+    canonical: gcd(den, its numerators) = 1, so an empty row has den 1, and
+    equality and hashing compare the storage directly.  No method mutates a
+    row; operations return new matrices, and instances are safe to share
+    between threads.  ``DenseMatrix(field, rows)`` takes dense rows and
+    ``from_entries`` the nonzeros of a structured matrix; ``_from_rows``
+    wraps canonical (row, den) pairs unchecked and keeps the column count of
+    matrices without rows.  Rows are lists: CPython caches freed tuples
+    shorter than 20 until a full collection, which cost 2 MB of peak RSS.
     """
 
-    __slots__ = ("field", "rows", "cols", "_data")
+    __slots__ = ("field", "rows", "cols", "_data", "_den")
 
     def __init__(self, field: ExactField, rows):
-        dense = [[field.coerce(x) for x in row] for row in rows]
-        ncols = len(dense[0]) if dense else 0
-        if any(len(row) != ncols for row in dense):
+        rows = [list(row) for row in rows]
+        ncols = len(rows[0]) if rows else 0
+        if any(len(row) != ncols for row in rows):
             raise DimensionMismatch("ragged rows")
-        self.field, self.rows, self.cols = field, len(dense), ncols
-        self._data = tuple(map(_sparse, dense))
+        self._fill(field, [field._row(enumerate(row)) for row in rows], ncols)
+
+    def _fill(self, field: ExactField, pairs: list, cols: int):
+        self.field, self.rows, self.cols = field, len(pairs), cols
+        self._data = tuple([row for row, _ in pairs])
+        self._den = tuple([den for _, den in pairs])
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _from_rows(cls, field: ExactField, rows, cols: int) -> "DenseMatrix":
-        """Wrap sparse rows of nonzero `field` elements, sorted by column, unchecked."""
+    def _from_rows(cls, field: ExactField, pairs, cols: int) -> "DenseMatrix":
+        """Wrap canonical (row, den) pairs of `field` storage, unchecked."""
         m = object.__new__(cls)
-        m.field, m.cols, m._data = field, cols, tuple(map(list, rows))
-        m.rows = len(m._data)
+        m._fill(field, list(pairs), cols)
         return m
 
     @classmethod
@@ -490,21 +609,18 @@ class DenseMatrix:
         for (i, j), value in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
-            value = field.coerce(value)
-            if value:
-                data[i].append((j, value))
+            data[i].append((j, value))
         for row in data:
             row.sort()  # distinct columns: values are never compared
-        return cls._from_rows(field, data, cols)
+        return cls._from_rows(field, map(field._row, data), cols)
 
     @classmethod
     def identity(cls, field: ExactField, n: int) -> "DenseMatrix":
-        one = field.one
-        return cls._from_rows(field, [((i, one),) for i in range(n)], n)
+        return cls._from_rows(field, [([(i, field._one)], 1) for i in range(n)], n)
 
     @classmethod
     def zeros(cls, field: ExactField, rows: int, cols: int) -> "DenseMatrix":
-        return cls._from_rows(field, [()] * rows, cols)
+        return cls._from_rows(field, [([], 1)] * rows, cols)
 
     @classmethod
     def diagonal(cls, field: ExactField, entries) -> "DenseMatrix":
@@ -524,19 +640,26 @@ class DenseMatrix:
         row, j = self._data[i], range(self.cols)[j]
         k = bisect.bisect_left(row, (j,))  # (j,) sorts just before (j, value)
         if k < len(row) and row[k][0] == j:
-            return row[k][1]
+            return self.field._box(row[k][1], self._den[i])
         return self.field.zero
 
+    def _boxed(self, i: int) -> list:
+        """The dense list of the field elements of row i."""
+        f, den = self.field, self._den[i]
+        out = [f.zero] * self.cols
+        for j, a in self._data[i]:
+            out[j] = f._box(a, den)
+        return out
+
     def row(self, i: int):
-        return tuple(_dense(self._data[i], self.cols, self.field.zero))
+        return tuple(self._boxed(i))
 
     def column(self, j: int):
         return tuple(self.entry(i, j) for i in range(self.rows))
 
     def row_lists(self):
         """Mutable dense copy of the entries."""
-        zero = self.field.zero
-        return [_dense(row, self.cols, zero) for row in self._data]
+        return [self._boxed(i) for i in range(self.rows)]
 
     # -- algebra -------------------------------------------------------------
 
@@ -551,21 +674,13 @@ class DenseMatrix:
         self._check_same(other)
         if self.shape != other.shape:
             raise DimensionMismatch(f"{self.shape} {'-' if sub else '+'} {other.shape}")
-        out = []
-        for ra, rb in zip(self._data, other._data):
-            acc = dict(ra)
-            for j, b in rb:
-                a = acc.get(j)
-                if a is None:
-                    acc[j] = -b if sub else b
-                    continue
-                a = a - b if sub else a + b
-                if a:
-                    acc[j] = a
-                else:
-                    del acc[j]
-            out.append(sorted(acc.items()))  # distinct columns: values are never compared
-        return self._from_rows(self.field, out, self.cols)
+        f = self.field
+        if f.kind == "gaussian":  # merge the rows 2i of the real forms
+            merged = _merge_rows(0, _real_form(self._data, False), self._den,
+                                 _real_form(other._data, False), other._den, sub)
+            return self._from_rows(f, [(_complex_row(row), den) for row, den in merged], self.cols)
+        merged = _merge_rows(f.characteristic, self._data, self._den, other._data, other._den, sub)
+        return self._from_rows(f, merged, self.cols)
 
     def __add__(self, other):
         return self._merge(other, False)
@@ -574,35 +689,38 @@ class DenseMatrix:
         return self._merge(other, True)
 
     def __neg__(self):
-        rows = [[(j, -a) for j, a in row] for row in self._data]
-        return self._from_rows(self.field, rows, self.cols)
+        f = self.field
+        return self._from_rows(f, [(f._neg(row), den) for row, den in zip(self._data, self._den)], self.cols)
 
     def scale(self, c):
-        c = self.field.coerce(c)
-        if not c:
-            return self.zeros(self.field, self.rows, self.cols)
-        rows = [[(j, c * a) for j, a in row] for row in self._data]
-        return self._from_rows(self.field, rows, self.cols)
+        f = self.field
+        stored, cden = f._row(((0, c),))  # c = stored value / cden
+        if not stored:
+            return self.zeros(f, self.rows, self.cols)
+        c = stored[0][1]
+        pairs = [f._canon(f._mul(row, c), den * cden) for row, den in zip(self._data, self._den)]
+        return self._from_rows(f, pairs, self.cols)
 
     def __mul__(self, other):
         if isinstance(other, DenseMatrix):
             self._check_same(other)
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.shape} * {other.shape}")
-            return self._from_rows(
-                self.field, _product(self.field, self._data, other._data, other.cols), other.cols
-            )
+            pairs = _product(self.field, self._data, self._den, other._data, other._den, other.cols)
+            return self._from_rows(self.field, pairs, other.cols)
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def transpose(self):
+        f = self.field
+        den = math.lcm(*self._den)  # every row over one denominator first
         out = [[] for _ in range(self.cols)]
-        for i, row in enumerate(self._data):
-            for j, a in row:
+        for i, (row, d) in enumerate(zip(self._data, self._den)):
+            for j, a in row if d == den else f._mul(row, den // d):
                 out[j].append((i, a))
-        return self._from_rows(self.field, out, self.rows)
+        return self._from_rows(f, [f._canon(row, den) for row in out], self.rows)
 
     def is_zero(self) -> bool:
         return not any(self._data)
@@ -615,23 +733,25 @@ class DenseMatrix:
             isinstance(other, DenseMatrix)
             and self.field == other.field
             and self.shape == other.shape
+            and self._den == other._den
             and self._data == other._data
         )
 
     def __hash__(self):
-        return hash((self.field, tuple(map(tuple, self._data))))
+        return hash((self.field, self._den, tuple(map(tuple, self._data))))
 
     def direct_sum(self, other: "DenseMatrix") -> "DenseMatrix":
         self._check_same(other)
         c = self.cols
-        shifted = [[(j + c, a) for j, a in row] for row in other._data]
-        return self._from_rows(self.field, self._data + tuple(shifted), c + other.cols)
+        shifted = [([(j + c, a) for j, a in row], den) for row, den in zip(other._data, other._den)]
+        return self._from_rows(self.field, [*zip(self._data, self._den), *shifted], c + other.cols)
 
     def pad(self, rows: int, cols: int) -> "DenseMatrix":
         """Embed into the top-left corner of a rows-by-cols zero matrix."""
         if rows < self.rows or cols < self.cols:
             raise DimensionMismatch("pad target is smaller than the matrix")
-        return self._from_rows(self.field, self._data + ((),) * (rows - self.rows), cols)
+        pairs = [*zip(self._data, self._den), *[([], 1)] * (rows - self.rows)]
+        return self._from_rows(self.field, pairs, cols)
 
     def submatrix(self, rows, cols) -> "DenseMatrix":
         """The entries at the given row and column indices, in the given order."""
@@ -639,50 +759,52 @@ class DenseMatrix:
         moved = {}  # old column -> its new columns
         for k, j in enumerate(cols):
             moved.setdefault(range(self.cols)[j], []).append(k)
+        f = self.field
         out = [
-            sorted((k, a) for j, a in self._data[i] if j in moved for k in moved[j])
+            f._canon(sorted((k, a) for j, a in self._data[i] if j in moved for k in moved[j]), self._den[i])
             for i in rows
         ]
-        return self._from_rows(self.field, out, len(cols))
+        return self._from_rows(f, out, len(cols))
 
     def map_entries(self, fn, field: ExactField | None = None) -> "DenseMatrix":
         f = field or self.field
-        rows = [[f.coerce(fn(a)) for a in row] for row in self.row_lists()]
-        return self._from_rows(f, map(_sparse, rows), self.cols)
+        return self._from_rows(f, [f._row(enumerate(map(fn, row))) for row in self.row_lists()], self.cols)
 
     # -- elimination kernels ---------------------------------------------------
 
     def rank(self) -> int:
-        rows = [row for row in self._data if row]
+        rows = [row for row in self._data if row]  # row denominators do not change the rank
         if not rows:
             return 0
+        f = self.field
+        if f.kind == "gaussian":
+            rows = _real_form(rows)
         keep = sorted({j for row in rows for j, _ in row})
-        if len(keep) < self.cols:
+        if keep[-1] >= len(keep):  # drop the zero columns
             where = {j: k for k, j in enumerate(keep)}
             rows = [[(where[j], a) for j, a in row] for row in rows]
-        width = len(keep)
-        f = self.field
-        if isinstance(f, PrimeField):
-            return len(_eliminate_gf([_gf_row(row, width) for row in rows], f.p, reduced=False))
-        if isinstance(f, RationalField):
-            return len(_eliminate_int([_scale_rational_row(row, width) for row in rows], reduced=False))
-        real = [_scale_rational_row(row, 2 * width) for row in _real_form(rows)]
-        return len(_eliminate_int(real, reduced=False)) // 2
+        ints = [_dense(row, len(keep)) for row in rows]
+        if f.characteristic:
+            return len(_eliminate_gf(ints, f.characteristic, reduced=False))
+        rank = len(_eliminate_int(ints, reduced=False))
+        return rank // 2 if f.kind == "gaussian" else rank
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column tuple)."""
-        rows, pivots = _rref(self.field, self._data, self.cols)
-        return self._from_rows(self.field, rows, self.cols), tuple(pivots)
+        pairs, pivots = _rref(self.field, self._data, self.cols)
+        pairs += [([], 1)] * (self.rows - len(pairs))
+        return self._from_rows(self.field, pairs, self.cols), tuple(pivots)
 
     def inverse(self) -> "DenseMatrix":
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        n, one = self.rows, self.field.one
-        aug = [row + [(n + i, one)] for i, row in enumerate(self._data)]
-        rows, pivots = _rref(self.field, aug, 2 * n)
-        if len(pivots) < n or any(p >= n for p in pivots):
+        n, f = self.rows, self.field
+        aug = [row for row, _ in _hstack_rows([self, self.identity(f, n)])]
+        pairs, pivots = _rref(f, aug, 2 * n)
+        if pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        return self._from_rows(self.field, [[(j - n, a) for j, a in row if j >= n] for row in rows], n)
+        # an RREF row less its pivot 1, whose denominator is 1, stays canonical
+        return self._from_rows(f, [([(j - n, a) for j, a in row if j >= n], den) for row, den in pairs], n)
 
     def kernel_basis(self) -> "DenseMatrix":
         """Matrix whose columns span the right null space.
@@ -690,14 +812,16 @@ class DenseMatrix:
         The column count equals cols - rank; a full-rank square input yields
         a matrix with zero columns.
         """
-        rows, pivots = _rref(self.field, self._data, self.cols)
+        f = self.field
+        pairs, pivots = _rref(f, self._data, self.cols)
         pivot_set = set(pivots)
         free = {fc: k for k, fc in enumerate(j for j in range(self.cols) if j not in pivot_set)}
-        # free column fc gives the kernel vector e_fc - sum_r rref[r][fc] e_pivot(r)
-        out = [((free[j], self.field.one),) if j in free else () for j in range(self.cols)]
-        for row, pc in zip(rows, pivots):
-            out[pc] = [(free[j], -a) for j, a in row if j in free]
-        return self._from_rows(self.field, out, len(free))
+        # free column fc gives the kernel vector e_fc - sum_r rref[r][fc] e_pivot(r);
+        # an RREF row less its pivot 1, whose denominator is 1, stays canonical
+        out = [([(free[j], f._one)], 1) if j in free else ([], 1) for j in range(self.cols)]
+        for (row, den), pc in zip(pairs, pivots):
+            out[pc] = f._neg([(free[j], a) for j, a in row if j in free]), den
+        return self._from_rows(f, out, len(free))
 
     def column_space_basis(self) -> "DenseMatrix":
         """Original columns indexed by the pivot columns of the RREF."""
@@ -708,15 +832,14 @@ class DenseMatrix:
         self._check_same(rhs)
         if rhs.rows != self.rows:
             raise DimensionMismatch(f"{self.shape} X = {rhs.shape}")
-        n, w = self.cols, rhs.cols
-        aug = [ra + [(n + j, b) for j, b in rb] for ra, rb in zip(self._data, rhs._data)]
-        rows, pivots = _rref(self.field, aug, n + w)
-        if any(pc >= n for pc in pivots):
+        f, n = self.field, self.cols
+        pairs, pivots = _rref(f, [row for row, _ in _hstack_rows([self, rhs])], n + rhs.cols)
+        if pivots and pivots[-1] >= n:
             raise ValueError("inconsistent linear system")
-        out = [()] * n
-        for row, pc in zip(rows, pivots):
-            out[pc] = [(j - n, a) for j, a in row if j >= n]
-        return self._from_rows(self.field, out, w)
+        out = [([], 1)] * n
+        for (row, den), pc in zip(pairs, pivots):
+            out[pc] = f._canon([(j - n, a) for j, a in row if j >= n], den)
+        return self._from_rows(f, out, rhs.cols)
 
     # -- text format -----------------------------------------------------------
 
@@ -736,8 +859,9 @@ class DenseMatrix:
             if rows < 0 or cols < 0:
                 raise ValueError(f"matrix text has a negative shape {rows}x{cols}")
             field = field_from_tag(next(tokens))
-            # parse_scalar is the text format's coercion: it yields field elements
-            data = [_sparse([field.parse_scalar(tokens) for _ in range(cols)]) for _ in range(rows)]
+            # parse_scalar and _row are the text format's coercion
+            data = [field._row(enumerate([field.parse_scalar(tokens) for _ in range(cols)]))
+                    for _ in range(rows)]
         except StopIteration:
             raise ValueError("matrix text is truncated") from None
         if next(tokens, None) is not None:
@@ -763,140 +887,156 @@ def hstack(mats) -> DenseMatrix:
             raise DimensionMismatch("hstack row counts differ")
         if m.field != field:
             raise FieldMismatch("hstack over mixed fields")
-    offsets = [0, *accumulate(m.cols for m in mats)]
-    data = [[(j + off, a) for m, off in zip(mats, offsets) for j, a in m._data[i]] for i in range(nrows)]
-    return DenseMatrix._from_rows(field, data, offsets[-1])
+    return DenseMatrix._from_rows(field, _hstack_rows(mats), sum(m.cols for m in mats))
 
 
 def vstack(mats) -> DenseMatrix:
     mats = list(mats)
     field = mats[0].field
     ncols = mats[0].cols
-    data = []
+    pairs = []
     for m in mats:
         if m.cols != ncols:
             raise DimensionMismatch("vstack column counts differ")
         if m.field != field:
             raise FieldMismatch("vstack over mixed fields")
-        data.extend(m._data)
-    return DenseMatrix._from_rows(field, data, ncols)
+        pairs += zip(m._data, m._den)
+    return DenseMatrix._from_rows(field, pairs, ncols)
 
 
 # -- kernel internals ------------------------------------------------------------
 
 
-def _sparse(row):
-    """The (column, value) pairs of the nonzero entries of a dense row."""
-    return [(j, a) for j, a in enumerate(row) if a]
-
-
-def _dense(row, width: int, zero) -> list:
-    """The dense list of `width` entries of a row of (column, value) pairs."""
-    out = [zero] * width
+def _dense(row, width: int) -> list:
+    """The dense list of `width` ints of a sparse row of ints."""
+    out = [0] * width
     for j, a in row:
         out[j] = a
     return out
 
 
-def _real_form(rows) -> list:
-    """The sparse real rows of sparse Q(i) rows: a + bi at (i, j) becomes the
-    block [[a, -b], [b, a]] at rows 2i, 2i + 1 and columns 2j, 2j + 1.
+def _hstack_rows(mats) -> list:
+    """The (row, den) pairs of same-height matrices side by side.
 
-    This is a ring map, and the real form of M has twice the rank of M.
+    Each row goes over the lcm of its parts' denominators.  It is canonical:
+    a prime to its highest power in that lcm divides the denominator of a
+    part, whose numerators it does not all divide, and that part is scaled
+    by a factor prime to it.
+    """
+    f = mats[0].field
+    offsets = [0, *accumulate(m.cols for m in mats)]
+    out = []
+    for i in range(mats[0].rows):
+        dens = [m._den[i] for m in mats]
+        den = math.lcm(*dens)
+        row = [(j + off, a) for m, off, d in zip(mats, offsets, dens)
+               for j, a in (m._data[i] if d == den else f._mul(m._data[i], den // d))]
+        out.append((row, den))
+    return out
+
+
+def _merge_rows(p: int, arows, adens, brows, bdens, sub: bool) -> list:
+    """The (row, den) pairs of A - B or A + B for rows of ints, mod p when p > 0."""
+    out = []
+    for ra, da, rb, db in zip(arows, adens, brows, bdens):
+        if not rb:
+            out.append((ra, da))
+            continue
+        den = math.lcm(da, db)
+        sa, sb = den // da, den // db
+        if sub:
+            sb = -sb
+        acc = dict(ra) if sa == 1 else {j: a * sa for j, a in ra}
+        for j, b in rb:
+            a = acc.get(j, 0) + b * sb
+            if p:
+                a %= p
+            if a:
+                acc[j] = a
+            else:
+                del acc[j]
+        out.append(QQ._canon(sorted(acc.items()), den))  # distinct columns: values are never compared
+    return out
+
+
+def _real_form(rows, odd: bool = True) -> list:
+    """The sparse int rows of the real form of sparse Q(i) rows of pairs: a + bi
+    at (i, j) becomes the block [[a, -b], [b, a]] at rows 2i, 2i + 1 and
+    columns 2j, 2j + 1.  Without `odd` only the rows 2i are made.
+
+    This is a ring map, and the real form of M has twice the rank of M.  Row
+    scaling commutes with it, so the rows keep their denominators.
     """
     out = []
     for row in rows:
-        out.append([(k, x) for j, z in row for k, x in ((2 * j, z.re), (2 * j + 1, -z.im)) if x])
-        out.append([(k, x) for j, z in row for k, x in ((2 * j, z.im), (2 * j + 1, z.re)) if x])
+        out.append([(k, x) for j, (a, b) in row for k, x in ((2 * j, a), (2 * j + 1, -b)) if x])
+        if odd:
+            out.append([(k, x) for j, (a, b) in row for k, x in ((2 * j, b), (2 * j + 1, a)) if x])
     return out
 
 
 def _complex_row(row) -> list:
-    """The Q(i) row z_j = x_2j - i x_2j+1 of a sparse real row sorted by column."""
+    """The Q(i) row of pairs z_j = x_2j - i x_2j+1 of a sparse real row sorted by column."""
     parts = {}
     for k, x in row:
         parts.setdefault(k >> 1, [0, 0])[k & 1] = x
-    return [(j, GaussianRational(a, -b)) for j, (a, b) in parts.items()]
+    return [(j, (a, -b)) for j, (a, b) in parts.items()]
 
 
-def _gf_row(row, width: int) -> list:
-    """The dense list of representatives of a sparse row over GF(p)."""
-    ints = [0] * width
-    for j, a in row:
-        ints[j] = a.v
-    return ints
+def _product(field, arows, adens, brows, bdens, ncols: int) -> list:
+    """The (row, den) pairs of A * B: each pair (k, a) of a row of A adds
+    a * (row k of B) into a dense int accumulator.
 
-
-def _scale_rational_row(row, width: int) -> list:
-    """The dense primitive integer row proportional to a sparse row of fractions."""
-    den = math.lcm(*[a.denominator for _, a in row])
-    ints = [0] * width
-    for j, a in row:
-        ints[j] = a.numerator * (den // a.denominator)
-    g = math.gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
-
-
-def _product(field, arows, brows, ncols):
-    """The sparse rows of A * B: each pair (k, a) of a row of A adds a * (row k
-    of B) into a dense accumulator, whose nonzeros are boxed into the result.
-
-    GF(p) accumulates the ints a.v * b.v.  Q puts B over one common denominator
-    and each row of A over its own and accumulates integer numerators.  Q(i)
-    reads the even rows of the Q product of the real forms.
+    GF(p) reduces the accumulator mod p.  Q puts B over one common
+    denominator, so row i of the result is the accumulator over that times
+    A's row denominator.  Q(i) reads the rows 2i of the Q product of the
+    real forms.
     """
-    if isinstance(field, GaussianRationalField):
-        return list(map(_complex_row, _product(QQ, _real_form(arows)[::2], _real_form(brows), 2 * ncols)))
+    if field.kind == "gaussian":
+        pairs = _product(QQ, _real_form(arows, False), adens, _real_form(brows),
+                         [d for d in bdens for _ in (0, 1)], 2 * ncols)
+        return [(_complex_row(row), den) for row, den in pairs]
+    p = field.characteristic
+    den_b = math.lcm(*bdens)
+    bints = [row if d == den_b else [(j, b * (den_b // d)) for j, b in row] for row, d in zip(brows, bdens)]
     out = []
-    if isinstance(field, PrimeField):
-        p = field.p
-        bints = [[(j, b.v) for j, b in row] for row in brows]
-        for arow in arows:
-            acc = [0] * ncols
-            for k, a in arow:
-                a = a.v
-                for j, b in bints[k]:
-                    acc[j] += a * b
-            out.append([(j, FpElement(p, v)) for j, v in enumerate(acc) if v % p])
-        return out
-    den_b = math.lcm(*[b.denominator for row in brows for _, b in row])
-    bints = [[(j, b.numerator * (den_b // b.denominator)) for j, b in row] for row in brows]
-    for arow in arows:
-        terms = [(a, bints[k]) for k, a in arow if bints[k]]
-        den_a = math.lcm(*[a.denominator for a, _ in terms])
+    for arow, den in zip(arows, adens):
         acc = [0] * ncols
-        for a, row in terms:
-            a = a.numerator * (den_a // a.denominator)
-            for j, b in row:
+        for k, a in arow:
+            for j, b in bints[k]:
                 acc[j] += a * b
-        den = den_a * den_b
-        out.append([(j, Fraction(acc[j], den)) for j in compress(range(ncols), acc)])
+        if p:
+            acc = [v % p for v in acc]
+        out.append(QQ._canon([(j, acc[j]) for j in compress(range(ncols), acc)], den * den_b))
     return out
 
 
 def _rref(field, rows, ncols: int):
-    """The RREF of sparse rows of field elements: (sparse rows, pivot columns).
+    """The RREF of sparse rows of stored values: (its nonzero rows as (row, den)
+    pairs, pivot columns).  Row denominators do not change the RREF, so only
+    the values are given.
 
-    GF(p) eliminates ints mod p and Q runs fraction-free on integer rows, each
-    boxing every nonzero entry once at the end.  Q(i) runs Q on the real form,
-    whose RREF is the real form of the Q(i) RREF: its pivots come in pairs
-    (2p, 2p + 1), and its row with pivot 2p reads back as the row with pivot p.
+    GF(p) eliminates ints mod p and Q runs fraction-free on the numerators.
+    Q(i) runs Q on the real form, whose RREF is the real form of the Q(i)
+    RREF: its pivots come in pairs (2p, 2p + 1), and its row with pivot 2p
+    reads back as the row with pivot p.
     """
     if not rows:
         return [], []
-    if isinstance(field, GaussianRationalField):
+    if field.kind == "gaussian":
         real, pivots = _rref(QQ, _real_form(rows), 2 * ncols)
-        out = list(map(_complex_row, real[: len(pivots) : 2]))
-        return out + [()] * (len(rows) - len(out)), [pc // 2 for pc in pivots[::2]]
-    if isinstance(field, PrimeField):
-        p = field.p
-        ints = [_gf_row(row, ncols) for row in rows]
+        return [(_complex_row(row), den) for row, den in real[::2]], [pc // 2 for pc in pivots[::2]]
+    ints = [_dense(row, ncols) for row in rows]
+    p = field.characteristic
+    if p:
         pivots = _eliminate_gf(ints, p, reduced=True)
-        return [[(j, FpElement(p, v)) for j, v in enumerate(row) if v] for row in ints], pivots
-    ints = [_scale_rational_row(row, ncols) for row in rows]
+        return [([(j, a) for j, a in enumerate(row) if a], 1) for row in ints[: len(pivots)]], pivots
     pivots = _eliminate_int(ints, reduced=True)
-    out = [[(j, Fraction(v, row[pc])) for j, v in enumerate(row) if v] for row, pc in zip(ints, pivots)]
-    return out + [()] * (len(rows) - len(pivots)), pivots  # rows past the rank are zero
+    out = []
+    for row, pc in zip(ints, pivots):  # row r over its pivot entry is row r of the RREF
+        sign = 1 if row[pc] > 0 else -1
+        out.append(QQ._canon([(j, sign * a) for j, a in enumerate(row) if a], sign * row[pc]))
+    return out, pivots
 
 
 def _eliminate_int(rows, reduced: bool) -> list[int]:
@@ -978,11 +1118,24 @@ def modular_rank_certificate(matrix: DenseMatrix, primes) -> int:
 
     Returns max_p rank(M mod p).  The result never exceeds rank(M) and equals
     it for all but finitely many primes.  A prime dividing the denominator of
-    any entry is rejected with PrimeDenominatorError.
+    any entry is rejected with PrimeDenominatorError: a row's denominator is
+    the lcm of its entries' denominators, so it is the row's that is tested.
     """
     if not isinstance(matrix.field, RationalField):
         raise FieldMismatch("modular rank certificate needs a rational matrix")
     primes = list(primes)
     if not primes:
         raise ValueError("no primes supplied")
-    return max(matrix.map_entries(lambda a: a, GF(p)).rank() for p in primes)
+    return max(_reduce_mod(matrix, p).rank() for p in primes)
+
+
+def _reduce_mod(matrix: DenseMatrix, p: int) -> DenseMatrix:
+    """The GF(p) image of a rational matrix: each row's numerators times den^-1 mod p."""
+    field = GF(p)
+    pairs = []
+    for row, den in zip(matrix._data, matrix._den):
+        if den % p == 0:
+            raise PrimeDenominatorError(f"denominator {den} vanishes mod {p}")
+        inv = pow(den, -1, p)
+        pairs.append(field._row([(j, a * inv) for j, a in row]))
+    return DenseMatrix._from_rows(field, pairs, matrix.cols)

@@ -270,19 +270,19 @@ class _Span:
     def __init__(self, width: int, field: ExactField):
         self.width = width
         self.field = field
-        self.rows: list = []  # (pivot index, normalized vector)
+        self.rows: list = []  # (pivot index, its normalized row's nonzero (index, value) pairs)
 
     def insert(self, vec: list) -> bool:
         v = list(vec)
         for pivot, row in self.rows:
             c = v[pivot]
             if c:
-                v = [a - c * b for a, b in zip(v, row)]
+                for k, b in row:
+                    v[k] = v[k] - c * b
         for i, a in enumerate(v):
             if a:
                 inv = self.field.one / a
-                v = [inv * b for b in v]
-                self.rows.append((i, v))
+                self.rows.append((i, [(k, inv * v[k]) for k in range(i, len(v)) if v[k]]))
                 self.rows.sort(key=lambda t: t[0])
                 return True
         return False

@@ -205,6 +205,19 @@ def test_modular_certificate_rejects_bad_prime():
         modular_rank_certificate(m, [4])
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.lists(st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+                                                  min_size=3, max_size=3), min_size=1, max_size=3))
+def test_modular_certificate_reduces_each_entry(p, rows):
+    """The rank of the entrywise image mod p, refused exactly when p divides an entry's denominator."""
+    m = DenseMatrix(QQ, rows)
+    if any(x.denominator % p == 0 for row in rows for x in row):
+        with pytest.raises(PrimeDenominatorError):
+            modular_rank_certificate(m, [p])
+    else:
+        assert modular_rank_certificate(m, [p]) == DenseMatrix(GF(p), rows).rank()
+
+
 def test_modular_certificate_is_lower_bound():
     rng = XorShift64Star(17)
     for _ in range(200):
@@ -470,6 +483,24 @@ def assert_canonical(m):
     assert m == twin and hash(m) == hash(twin)
 
 
+def late_common_factor_cases():
+    """Kernel results whose rows share a factor with their denominator only afterwards."""
+    z = GaussianRational(Fraction(1, 2), Fraction(1, 3))
+    w = GaussianRational(Fraction(3, 4), -1)
+    q = DenseMatrix(QQ, [["1/2", "1/6", "5/3"], ["1/4", 0, "-2/9"]])
+    qi = DenseMatrix(QQI, [[z, w, 0], [w, 0, z], [z * 2, w * 2, 0]])
+    assert q.transpose().transpose() == q and qi.transpose().transpose() == qi
+    assert DenseMatrix(QQ, [["1/2", "1/6"]]).submatrix([0], [0]) == DenseMatrix(QQ, [["1/2"]])
+    results = [DenseMatrix(QQ, [["1/2", "1/6"]]).submatrix([0], [0]),  # 3/6 before it is reduced
+               q.transpose(), q.scale(Fraction(3, 2)), q.scale(Fraction(-4, 9)), q.submatrix([1, 0], [2, 1]),
+               qi.transpose(), qi.scale(Fraction(2, 3)), qi.scale(w), qi.kernel_basis(), qi.rref()[0],
+               qi.submatrix([0, 1], [0, 1]).inverse(), qi.submatrix([0, 1], [1, 2]).kernel_basis()]
+    for p in (2, 7):
+        a = DenseMatrix(GF(p), [[1, 2, 0, 3], [0, 0, 5, 1]])
+        results += [-a, a.scale(p - 1), -a + a.scale(p - 1), a.scale(p), a.transpose().kernel_basis()]
+    return results
+
+
 @settings(max_examples=150, deadline=None)
 @given(canonical_cases())
 def test_kernel_results_are_canonical(case):
@@ -490,10 +521,11 @@ def test_kernel_results_are_canonical(case):
     rsel, csel = range(a.rows - 1, -1, -1), [j for j in range(a.cols)][::-1] * 2
     results = [a + b, a - b, -a, a.scale(2), a * c, (a + b) * c - b * c, a.transpose(),
                a.submatrix(rsel, csel), a.direct_sum(c), a.pad(a.rows + 1, a.cols + 2),
-               hstack([a, b]), vstack([a, b]), a.kernel_basis(), a.rref()[0], e01 * e01, *cancelled, *built]
+               hstack([a, b]), vstack([a, b]), a.kernel_basis(), a.rref()[0], e01 * e01, *cancelled, *built,
+               a.scale(minus_one), a.scale(Fraction(2, 3)), (a + b).scale(Fraction(-6, 5)), a.solve_right(a * c)]
     if sq.rank() == sq.rows:
         results += [sq.inverse(), sq * sq.inverse()]
-    for m in results:
+    for m in results + late_common_factor_cases():
         assert_canonical(m)
 
 

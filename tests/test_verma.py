@@ -2,8 +2,11 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankstability import (
+    GF,
     AlmostRep,
     DenseMatrix,
     QQ,
@@ -26,6 +29,7 @@ from rankstability import (
 from rankstability.prng import XorShift64Star
 from rankstability.rankmetric import strict_distance
 from rankstability.verma import (
+    _Span,
     act_generator,
     parse_weight,
     reordered_sl2_casimir,
@@ -437,3 +441,15 @@ def test_weyl_twist_scan_reports_without_asserting():
 
 def test_parse_weight():
     assert parse_weight(QQ, "1/2,1/3") == (Fraction(1, 2), Fraction(1, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)), min_size=n, max_size=n),
+    min_size=1, max_size=8)))
+def test_span_dimension_is_rank(field, vectors):
+    """After each insert the span's dimension is the rank of the vectors so far."""
+    span = _Span(len(vectors[0]), field)
+    for k, vec in enumerate(vectors):
+        span.insert([field.coerce(x) for x in vec])
+        assert span.dim == DenseMatrix(field, vectors[: k + 1]).rank()
