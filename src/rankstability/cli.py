@@ -367,10 +367,11 @@ def _cmd_field_selftest(args):
             n = rng.randint(2, 5)
             a = random_matrix(field, rng, n, n)
             b = random_matrix(field, rng, n, n)
-            sub = (a + b).rank() <= a.rank() + b.rank()
-            prod = (a * b).rank() <= min(a.rank(), b.rank())
-            transp = a.rank() == a.transpose().rank()
-            kern = a.kernel_basis().cols == n - a.rank()
+            rank_a, rank_b = a.rank(), b.rank()
+            sub = (a + b).rank() <= rank_a + rank_b
+            prod = (a * b).rank() <= min(rank_a, rank_b)
+            transp = rank_a == a.transpose().rank()
+            kern = a.kernel_basis().cols == n - rank_a
             ok = sub and prod and transp and kern
             cases.append({"field": field.tag, "n": n, "subadditive": sub,
                           "product": prod, "transpose": transp, "kernel": kern,

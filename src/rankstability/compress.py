@@ -16,9 +16,10 @@ with diagnostics rather than returning a verdict.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
-from .errors import BoundViolation, DimensionMismatch
+from .errors import BoundViolation, DimensionMismatch, SingularMatrixError
 from .exactfield import DenseMatrix, hstack
 from .prng import XorShift64Star, random_matrix
 
@@ -93,13 +94,11 @@ def random_frame(field, n: int, k: int, rng: XorShift64Star) -> CompressionFrame
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     while True:
         iota = random_matrix(field, rng, n, k)
-        if iota.rank() != k:
-            continue
-        completion = random_matrix(field, rng, n, n - k) if n > k else None
-        full = hstack([iota, completion]) if completion is not None else iota
-        if full.rank() == n:
-            break
-    inv = full.inverse()
+        if iota.rank() == k:
+            full = hstack([iota, random_matrix(field, rng, n, n - k)]) if n > k else iota
+            with contextlib.suppress(SingularMatrixError):  # redraw both
+                inv = full.inverse()
+                break
     proj = inv.submatrix(range(k), range(n))
     return CompressionFrame(iota, proj)
 

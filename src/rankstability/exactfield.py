@@ -23,7 +23,7 @@ forward half of each elimination, and Gauss-Jordan (behind ``rref``,
 the reduced form.
 
 Field elements are made only at the boundary.  ``entry``, ``row``,
-``column``, ``row_lists`` and ``to_text`` box what they return.
+``column``, ``row_lists``, ``nonzeros`` and ``to_text`` box what they return.
 ``DenseMatrix(field, rows)``, ``from_entries``, ``map_entries`` and
 ``from_text`` coerce their input straight into storage through the field's
 ``_row``, which turns an int or a ``Fraction`` into numerators without
@@ -406,7 +406,7 @@ class GaussianRationalField(ExactField):
         if isinstance(x, (int, Fraction)):
             return GaussianRational(x)
         if isinstance(x, tuple) and len(x) == 2:
-            return GaussianRational(Fraction(x[0]), Fraction(x[1]))
+            return GaussianRational(*x)
         if isinstance(x, str):
             return self._parse_token(x)
         raise TypeError(f"cannot coerce {x!r} into Q(i)")
@@ -436,12 +436,12 @@ class GaussianRationalField(ExactField):
 
     def _row(self, items):
         real = []
-        for j, x in items:
+        for j, x in items:  # an (re, im) pair of ints, as prng draws them, goes in as it is
             if isinstance(x, (int, Fraction)):
-                real.append((2 * j, x))
-            else:
-                x = self.coerce(x)
-                real += ((2 * j, x.re), (2 * j + 1, -x.im))
+                x = x, 0
+            elif not (type(x) is tuple and len(x) == 2 and type(x[0]) is type(x[1]) is int):
+                x = (g := self.coerce(x)).re, g.im
+            real += ((2 * j, x[0]), (2 * j + 1, -x[1]))
         row, den = QQ._row(real)
         return _complex_row(row), den
 
@@ -660,6 +660,11 @@ class DenseMatrix:
     def row_lists(self):
         """Mutable dense copy of the entries."""
         return [self._boxed(i) for i in range(self.rows)]
+
+    def nonzeros(self) -> dict:
+        """The {(i, j): value} of the nonzero entries, as ``from_entries`` takes them."""
+        box = self.field._box
+        return {(i, j): box(a, den) for i, (row, den) in enumerate(zip(self._data, self._den)) for j, a in row}
 
     # -- algebra -------------------------------------------------------------
 
@@ -939,8 +944,8 @@ def _merge_rows(p: int, arows, adens, brows, bdens, sub: bool) -> list:
     """The (row, den) pairs of A - B or A + B for rows of ints, mod p when p > 0."""
     out = []
     for ra, da, rb, db in zip(arows, adens, brows, bdens):
-        if not rb:
-            out.append((ra, da))
+        if not rb or sub and ra == rb and da == db:  # b adds nothing, or equal rows cancel
+            out.append(([], 1) if rb else (ra, da))
             continue
         den = math.lcm(da, db)
         sa, sb = den // da, den // db

@@ -46,20 +46,15 @@ class XorShift64Star:
         return lo + self.below(hi - lo + 1)
 
 
-def random_scalar(field, rng: XorShift64Star, lo: int = -4, hi: int = 4):
-    """A small random element of `field`, drawn from integer coordinates."""
-    if field.kind == "gaussian":
-        return field.coerce((rng.randint(lo, hi), rng.randint(lo, hi)))
-    if field.kind == "gf":
-        return field.coerce(rng.below(field.p))
-    return field.coerce(rng.randint(lo, hi))
-
-
 def random_matrix(field, rng: XorShift64Star, rows: int, cols: int, lo: int = -4, hi: int = 4):
+    """Small random entries, drawn row by row as ints in [lo, hi], (re, im)
+    pairs of them over Q(i) or residues over GF(p), and stored as drawn."""
     from .exactfield import DenseMatrix
 
-    data = [[random_scalar(field, rng, lo, hi) for _ in range(cols)] for _ in range(rows)]
-    return DenseMatrix(field, data)
+    draw = {"gaussian": lambda: (rng.randint(lo, hi), rng.randint(lo, hi)),
+            "gf": lambda: rng.below(field.p)}.get(field.kind, lambda: rng.randint(lo, hi))
+    pairs = [field._row([(j, draw()) for j in range(cols)]) for _ in range(rows)]
+    return DenseMatrix._from_rows(field, pairs, cols)
 
 
 def random_invertible(field, rng: XorShift64Star, n: int, lo: int = -4, hi: int = 4):

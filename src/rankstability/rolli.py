@@ -11,7 +11,9 @@ depends only on the b-exponents.  Joining two reduced words either
 concatenates the tau-product or, after cancellation, replaces a middle pair
 tau(m) tau(q) by tau(m+q); the multiplicative defect of phi is therefore the
 exact maximum of rk(tau(m) tau(q) - tau(m+q)) over integer pairs, which a
-finite membership-pattern enumeration computes.  It never exceeds 3/n.
+finite membership-pattern enumeration computes.  It never exceeds 3/n.  Each
+tau(j) is validated and scanned through I + u v^T: Sherman-Morrison checks
+tau(-j), and each pattern is ranked on a core of at most 3x3.
 
 The witness word a b a b^2 ... a b^t accumulates tau(1)...tau(t); presets are
 chosen so that product is far from the identity, which pushes every true
@@ -198,18 +200,32 @@ class TauFamily:
         ident = DenseMatrix.identity(field, n)
         self._identity = ident
         self._witness: dict[int, tuple] = {}
-        self._moved: dict[int, frozenset] = {}
+        # j -> (u, v, id of u, id of v) for D_j = tau(j) - I = u v^T != 0: v is the
+        # first nonzero row of D_j, u its column through that row's first nonzero
+        # entry a, over a; both {coordinate: value} dicts.  Parallel ones share an id.
+        self._factors: dict[int, tuple] = {}
+        deltas, ids = {}, {}
         for j, mat in sorted(self._map.items()):
             if -j not in self._map:
                 raise ValueError(f"support is not symmetric: {j} present, {-j} missing")
             delta = mat - ident
             if delta.rank() > 1:
                 raise ValueError(f"tau({j}) is not within rank one of the identity")
-            cols = delta.transpose()
-            self._moved[j] = frozenset(i for i in range(n) if any(delta.row(i)) or any(cols.row(i)))
+            d = deltas[j] = delta.nonzeros()
+            if d:
+                (i0, j0), a = min(d.items())  # u leads with 1 at i0 and v with a at j0
+                u = {i: x / a for (i, c), x in d.items() if c == j0}
+                v = {c: x for (i, c), x in d.items() if i == i0}
+                keys = (tuple(sorted(u.items())), tuple((c, x / a) for c, x in sorted(v.items())))
+                self._factors[j] = (u, v, *[ids.setdefault(key, len(ids)) for key in keys])
+        # tr D_j = v^T u.  If 1 + tr D_j != 0, then (I + u v^T)(I - u v^T / (1 + v^T u)) = I
+        # (Sherman-Morrison), so tau(j) tau(-j) = I exactly when D_-j = -D_j / (1 + tr D_j).
+        # If 1 + tr D_j = 0, then (I + D_j) u = (1 + v^T u) u = 0 with u != 0: tau(j) is singular.
         for j in sorted(self._map):
-            if j > 0 and self._map[j] * self._map[-j] != ident:
-                raise ValueError(f"tau({j}) and tau({-j}) are not inverse")
+            if j > 0:
+                den = sum((x for (r, c), x in deltas[j].items() if r == c), field.one)
+                if not den or deltas[-j] != {pos: -x / den for pos, x in deltas[j].items()}:
+                    raise ValueError(f"tau({j}) and tau({-j}) are not inverse")
         self.support = frozenset(self._map)
         self.support_bound = max((abs(j) for j in self.support), default=0)
 
@@ -219,8 +235,9 @@ class TauFamily:
         return self._map.get(j, self._identity)
 
     def moved(self, j: int) -> frozenset:
-        """Coordinates i where row i or column i of tau(j) differs from I's."""
-        return self._moved.get(j, frozenset())
+        """Coordinates i where row i or column i of tau(j) differs from I's: supp(u) | supp(v)."""
+        u, v, *_ = self._factors.get(j, ({}, {}))
+        return frozenset(u.keys() | v.keys())
 
     def witness(self, t: int) -> tuple:
         """(w, phi(w), c) for w = witness_word(t) and c = rk(phi(w) - I_n) / n.
@@ -241,24 +258,24 @@ def preset_tau(kind: str, n: int, field: ExactField = QQ) -> TauFamily:
     if n < 1:
         raise ValueError("n must be positive")
     ident = DenseMatrix.identity(field, n)
+
+    def ident_plus(entries: dict) -> DenseMatrix:
+        # I + D from the nonzeros of D: the rows D leaves alone stay I's own
+        return ident + DenseMatrix.from_entries(field, n, n, entries)
+
     mapping: dict[int, DenseMatrix] = {}
     if kind == "diag_involution":
         if getattr(field, "characteristic", 0) == 2:
             raise ValueError("diag_involution needs characteristic != 2")
         for j in range(1, n + 1):
-            mat = ident - DenseMatrix.elementary(field, n, n, j - 1, j - 1, 2)
-            mapping[j] = mat
-            mapping[-j] = mat
+            mapping[j] = mapping[-j] = ident_plus({(j - 1, j - 1): -2})
     elif kind == "transposition":
         for j in range(1, n):
-            perm = {j - 1: j, j: j - 1}
-            mat = DenseMatrix.from_entries(field, n, n, {(i, perm.get(i, i)): 1 for i in range(n)})
-            mapping[j] = mat
-            mapping[-j] = mat
+            mapping[j] = mapping[-j] = ident_plus({(j - 1, j - 1): -1, (j, j): -1, (j - 1, j): 1, (j, j - 1): 1})
     elif kind == "transvection":
         for j in range(1, n):
-            mapping[j] = ident + DenseMatrix.elementary(field, n, n, j, j - 1)
-            mapping[-j] = ident - DenseMatrix.elementary(field, n, n, j, j - 1)
+            mapping[j] = ident_plus({(j, j - 1): 1})
+            mapping[-j] = ident_plus({(j, j - 1): -1})
     else:
         raise ValueError(f"unknown preset {kind!r}")
     return TauFamily(field, n, mapping, preset=kind)
@@ -302,31 +319,22 @@ def exact_defect(tau: TauFamily) -> DefectResult:
     best = 0
     pair = (0, 0)
 
-    def blocks(*js):
-        # Every tau(j) is the identity outside moved(j), so each pattern's
-        # matrix is zero outside the principal block on the union S of the
-        # moved sets of its terms, and its rank is the rank of that block.
-        coords = sorted(frozenset().union(*map(tau.moved, js)))
-        return [tau.tau(j).submatrix(coords, coords) for j in js]
-
     for m in support:
         for q in support:
-            tm, tq, tmq = blocks(m, q, m + q)
-            r = (tm * tq - tmq).rank()
+            r = _pattern_rank(tau, ((m, 1), (q, 1), (m + q, -1)), product=True)
             if r > best:
                 best = r
                 pair = (m, q)
-        # tau(m) tau(q) - tau(m+q) = (tau(m) - I) tau(q) + (tau(q) - I) - (tau(m+q) - I)
-        # has rank at most 3 and the patterns below at most 2, so no later
-        # pair can replace one that reaches 3.
+        # tau(m) tau(q) - tau(m+q) = D_m + D_q + D_m D_q - D_{m+q} has rank at
+        # most 3 and the patterns below at most 2, so no later pair can replace
+        # one that reaches 3.
         if best == 3:
             break
 
     # one exponent outside the support: tau(u) - tau(s) with s - u escaping,
-    # and tau(u) - I; both are also what the two-outside patterns produce.
+    # and tau(u) - I = D_u; both are also what the two-outside patterns produce.
     for u in support:
-        tu, ident = blocks(u, 0)
-        r = (tu - ident).rank()
+        r = 1 if u in tau._factors else 0
         if r > best:
             best = r
             pair = (u, tau.support_bound * 2 + 1)
@@ -335,8 +343,7 @@ def exact_defect(tau: TauFamily) -> DefectResult:
             for s in support:
                 if s == u or (s - u) in tau.support:
                     continue
-                tu, ts = blocks(u, s)
-                r = (tu - ts).rank()
+                r = _pattern_rank(tau, ((u, 1), (s, -1)))
                 if r > best:
                     best = r
                     pair = (u, s - u)
@@ -348,6 +355,51 @@ def exact_defect(tau: TauFamily) -> DefectResult:
             f"defect {rd} exceeded 3/n = {bound}", details={"preset": tau.preset}
         )
     return DefectResult(rd, bound, pair)
+
+
+def _basis_rows(vectors, ids) -> list:
+    """Rows of [v_1 ... v_k], of rank 1 or 2, that are a basis of its row space:
+    i1 with v_1[i1] != 0, and for rank 2 an i2 where v_1 and a y have a nonzero minor."""
+    x, i1 = vectors[0], min(vectors[0])
+    y = next((v for v, d in zip(vectors, ids) if d != ids[0]), None)
+    if y is None:
+        return [i1]
+    coords = sorted(x.keys() | y.keys())
+    return [i1, next(i for i in coords if x[i1] * y.get(i, 0) - x.get(i, 0) * y.get(i1, 0))]
+
+
+def _span_rank(tau: TauFamily, vectors, ids) -> int:
+    d = len(set(ids))  # parallel vectors share an id, so 1 or 2 ids is the rank
+    if d < 3 or not vectors[2].keys() <= vectors[0].keys() | vectors[1].keys():
+        return d  # or three, one of them nonzero where the other two are zero
+    entries = {(a, i): x for a, v in enumerate(vectors) for i, x in v.items()}
+    return DenseMatrix.from_entries(tau.field, 3, tau.n, entries).rank()
+
+
+def _pattern_rank(tau: TauFamily, terms, product: bool = False) -> int:
+    """Rank of the sum of sign * D_j over the (j, sign) terms, plus D_j1 D_j2 if `product`.
+
+    With D_j = u_j v_j^T this is U W V^T for U = [u_j] and V = [v_j] over the
+    terms with D_j != 0, and W diagonal with the signs (plus v_j1^T u_j2 at
+    (1, 2) for the product), so invertible.  If U has full column rank the
+    rank is rank(V), and the other way round.  Otherwise rows I and J that are
+    bases of the row spaces give U = L U[I], V = L' V[J] with L, L' of full
+    column rank, so the rank is that of U[I] W V[J]^T: the pattern on I x J.
+    """
+    factors = tau._factors
+    live = [(factors[j], sign) for j, sign in terms if j in factors]
+    if not live:
+        return 0
+    us, vs, uids, vids = zip(*(f for f, _ in live))
+    ru, rv = _span_rank(tau, us, uids), _span_rank(tau, vs, vids)
+    if len(live) in (ru, rv):
+        return min(ru, rv)
+    (u1, v1, *_), (u2, v2, *_) = (factors.get(j, ({}, {})) for j, _ in terms[:2])
+    s = sum(v1[i] * x for i, x in u2.items() if i in v1) if product else 0
+    block = {(a, b): sum(sign * u.get(i, 0) * v.get(c, 0) for (u, v, *_), sign in live)
+             + s * u1.get(i, 0) * v2.get(c, 0)
+             for a, i in enumerate(_basis_rows(us, uids)) for b, c in enumerate(_basis_rows(vs, vids))}
+    return DenseMatrix.from_entries(tau.field, ru, rv, block).rank()
 
 
 def witness_word(t: int) -> ReducedWord:
@@ -546,9 +598,9 @@ def rep_distance_certificate(tau: TauFamily, psi, witness_exponent: int | None =
     delta = Fraction(1, n)
 
     ident_big = DenseMatrix.identity(field, N)
-    rank_a = (psi_a - ident_big).rank()
-    rank_b = (psi_b - ident_big).rank()
-    fixed = vstack([psi_a - ident_big, psi_b - ident_big]).kernel_basis().cols
+    moved_a, moved_b = psi_a - ident_big, psi_b - ident_big
+    rank_a, rank_b = moved_a.rank(), moved_b.rank()
+    fixed = vstack([moved_a, moved_b]).kernel_basis().cols
     rank_w = (psi_w - ident_big).rank()
 
     final = (c - delta) / 6

@@ -7,6 +7,7 @@ from rankstability import (
     DenseMatrix,
     GF,
     QQ,
+    QQI,
     XorShift64Star,
     align_compressions,
     compress,
@@ -15,6 +16,7 @@ from rankstability import (
     verify_mult_defect,
     verify_rank_lower,
 )
+from rankstability.exactfield import hstack
 from rankstability.prng import random_invertible, random_matrix
 
 
@@ -72,6 +74,27 @@ def test_random_frame_projection_is_idempotent():
         p = frame.iota * frame.proj
         assert p * p == p
         assert p.rank() == 4
+
+
+def reference_frame(field, n, k, rng):
+    """random_frame with a rank test before the inverse, as it once was."""
+    while True:
+        iota = random_matrix(field, rng, n, k)
+        if iota.rank() != k:
+            continue
+        full = hstack([iota, random_matrix(field, rng, n, n - k)]) if n > k else iota
+        if full.rank() == n:
+            return iota, full.inverse().submatrix(range(k), range(n))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), QQI])
+def test_random_frame_draws_as_the_rank_test_did(field):
+    for seed, n, k in [(1, 4, 2), (2, 5, 5), (3, 3, 1), (4, 6, 4)]:
+        rng, ref_rng = XorShift64Star(seed), XorShift64Star(seed)
+        for _ in range(3):
+            frame = random_frame(field, n, k, rng)
+            assert (frame.iota, frame.proj) == reference_frame(field, n, k, ref_rng)
+        assert rng.next_u64() == ref_rng.next_u64()
 
 
 def test_rank_lower_tight_at_full_frame():

@@ -56,6 +56,11 @@ def test_fraction_coercion_rejects_floats():
         QQI.coerce(0.5)
     with pytest.raises(TypeError):
         GaussianRational(1.5)
+    for pair in [(0.5, 0), (1, 0.25)]:  # a float in an (re, im) pair too
+        with pytest.raises(TypeError):
+            QQI.coerce(pair)
+        with pytest.raises(TypeError):
+            DenseMatrix.from_entries(QQI, 1, 1, {(0, 0): pair})
 
 
 def test_gaussian_arithmetic():
@@ -539,6 +544,10 @@ def test_from_entries_matches_dense_constructor(case):
         built = DenseMatrix.from_entries(field, a.rows, a.cols, given)
         assert built.shape == a.shape and built == a
     assert DenseMatrix.from_entries(field, a.rows, a.cols, {}) == DenseMatrix.zeros(field, a.rows, a.cols)
+    nonzeros = a.nonzeros()
+    assert nonzeros == {k: x for k, x in entries.items() if x}
+    assert all(type(x) is type(field.one) for x in nonzeros.values())
+    assert DenseMatrix.from_entries(field, a.rows, a.cols, nonzeros) == a
 
 
 def test_from_entries_coerces_its_values():
@@ -547,8 +556,32 @@ def test_from_entries_coerces_its_values():
     built = DenseMatrix.from_entries(GF(7), 1, 2, {(0, 0): Fraction(1, 2), (0, 1): 14})
     assert built == DenseMatrix(GF(7), [[4, 0]])
     assert DenseMatrix.from_entries(QQI, 1, 1, {(0, 0): (1, -2)}).entry(0, 0) == GaussianRational(1, -2)
+    half = DenseMatrix.from_entries(QQI, 1, 2, {(0, 0): (Fraction(1, 2), 3), (0, 1): ("1/3", -1)})
+    assert half.row(0) == (GaussianRational(Fraction(1, 2), 3), GaussianRational(Fraction(1, 3), -1))
     with pytest.raises(TypeError):
         DenseMatrix.from_entries(QQ, 1, 1, {(0, 0): 0.5})
+
+
+def random_scalar(field, rng, lo=-4, hi=4):
+    """A small random element of `field`, boxed: the draws random_matrix makes per entry."""
+    if field.kind == "gaussian":
+        return field.coerce((rng.randint(lo, hi), rng.randint(lo, hi)))
+    if field.kind == "gf":
+        return field.coerce(rng.below(field.p))
+    return field.coerce(rng.randint(lo, hi))
+
+
+@pytest.mark.parametrize("field", [QQ, QQI, GF(2), GF(7), GF(1000003)])
+def test_random_matrix_matches_boxed_draws(field):
+    for seed, rows, cols, lo, hi in [(1, 3, 3, -4, 4), (7, 5, 2, -6, 6), (11, 0, 3, -4, 4),
+                                     (12, 2, 0, -4, 4), (13, 4, 6, 0, 0), (14, 1, 5, -1, 9)]:
+        rng, ref_rng = XorShift64Star(seed), XorShift64Star(seed)
+        m = random_matrix(field, rng, rows, cols, lo, hi)
+        ref = [[random_scalar(field, ref_rng, lo, hi) for _ in range(cols)] for _ in range(rows)]
+        assert m.shape == (rows, cols)
+        assert m == (DenseMatrix(field, ref) if rows else DenseMatrix.zeros(field, 0, cols))
+        assert_canonical(m)
+        assert rng.next_u64() == ref_rng.next_u64()  # the stream is left in the same state
 
 
 @pytest.mark.parametrize("index", [(2, 0), (0, 3), (-1, 0), (0, -1), (5, 5)])

@@ -1,6 +1,7 @@
 """Every certified inequality downstream of the elimination kernels can fire.
 
-Each test plants a fault in one DenseMatrix kernel, runs an rsl command
+Each test plants a fault in one DenseMatrix kernel (for the free-group
+defect, in the rank-one pattern rank of ``rolli``), runs an rsl command
 through ``cli.main`` and expects exit 3 with the guard's diagnostic dump:
 one ``--- key ---`` header per entry of the BoundViolation's details.  The
 near-scalar check has no rsl command and is called directly.
@@ -10,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from rankstability import rolli
 from rankstability.cli import main
 from rankstability.errors import BoundViolation
 from rankstability.exactfield import QQ, DenseMatrix, vstack
@@ -60,9 +62,8 @@ def test_alignment_guard_fires(capsys, monkeypatch):
 
 
 def test_exact_defect_guard_fires(capsys, monkeypatch):
-    # the principal blocks of the defect patterns are smaller than n = 4;
-    # each claims rank 4, a defect of 1 > 3/4
-    monkeypatch.setattr(DenseMatrix, "rank", lambda m: 4 if m.rows < 4 else TRUE_RANK(m))
+    # every defect pattern claims rank 4, a defect of 1 > 3/4
+    monkeypatch.setattr(rolli, "_pattern_rank", lambda tau, terms, product=False: 4)
     err = run_violation(capsys, ["rolli", "defect", "--preset", "diag_involution", "--n", "4"],
                         ["preset"])
     assert "exceeded 3/n = 3/4" in err

@@ -23,6 +23,7 @@ from rankstability.rolli import (
     TauFamily,
     WORD_A,
     WORD_B,
+    _pattern_rank,
     certificate_battery,
     rep_distance_certificate,
     trivial_rep,
@@ -243,6 +244,185 @@ def test_exact_defect_keeps_scanning_after_a_row_of_two():
     result = exact_defect(tau)
     assert result.defect.numerator == 3
     assert result.witness_pair == (-3, 1)
+
+
+def principal_block_defect(tau):
+    """(defect numerator, witness pair) by dense ranks of principal blocks.
+
+    Every tau(j) is the identity outside moved(j), so each pattern's matrix
+    is zero outside the principal block on the union S of the moved sets of
+    its terms, and its rank is the rank of that block.  Same enumeration
+    order and early exits as exact_defect.
+    """
+    support = sorted(tau.support)
+    best, pair = 0, (0, 0)
+
+    def blocks(*js):
+        coords = sorted(frozenset().union(*map(tau.moved, js)))
+        return [tau.tau(j).submatrix(coords, coords) for j in js]
+
+    for m in support:
+        for q in support:
+            tm, tq, tmq = blocks(m, q, m + q)
+            r = (tm * tq - tmq).rank()
+            if r > best:
+                best, pair = r, (m, q)
+        if best == 3:
+            break
+    for u in support:
+        tu, ident = blocks(u, 0)
+        r = (tu - ident).rank()
+        if r > best:
+            best, pair = r, (u, tau.support_bound * 2 + 1)
+    if best < 2:
+        for u in support:
+            for s in support:
+                if s == u or (s - u) in tau.support:
+                    continue
+                tu, ts = blocks(u, s)
+                r = (tu - ts).rank()
+                if r > best:
+                    best, pair = r, (u, s - u)
+    return best, pair
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, GF(2), GF(3)]), st.integers(2, 6), st.integers(1, 3), st.integers(0, 2**32))
+def test_exact_defect_matches_principal_blocks(field, n, bound, seed):
+    tau = rank_one_family(field, n, bound, seed)
+    result = exact_defect(tau)
+    assert (result.defect.numerator, result.witness_pair) == principal_block_defect(tau)
+
+
+@st.composite
+def dense_rank_one_families(draw):
+    """tau(j) = I + u v^T with dense u, v at n <= 3, so that factors of
+    different j are often parallel, or dependent without being parallel."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    n, bound = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    vectors = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    ident = DenseMatrix.identity(field, n)
+    mapping = {}
+    for j in range(1, bound + 1):
+        u = DenseMatrix(field, [[x] for x in draw(vectors)])
+        v = DenseMatrix(field, [draw(vectors)])
+        denom = field.one + (v * u).entry(0, 0)
+        if not denom:  # tau(j) would be singular
+            v = v.scale(0)
+            denom = field.one
+        mapping[j] = ident + u * v
+        mapping[-j] = ident - (u * v).scale(field.one / denom)
+    return TauFamily(field, n, mapping)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_rank_one_families())
+def test_exact_defect_of_dense_factors_matches_principal_blocks(tau):
+    result = exact_defect(tau)
+    assert (result.defect.numerator, result.witness_pair) == principal_block_defect(tau)
+    # every pattern, including those that cannot change the maximum
+    for m in tau.support:
+        for q in tau.support:
+            dense = (tau.tau(m) * tau.tau(q) - tau.tau(m + q)).rank()
+            assert _pattern_rank(tau, ((m, 1), (q, 1), (m + q, -1)), product=True) == dense
+            assert _pattern_rank(tau, ((m, 1), (q, -1))) == (tau.tau(m) - tau.tau(q)).rank()
+
+
+def row0_family(field, n):
+    """tau(+-j) = I +- E_{0,j} for 0 < j < n: defect 1, so every pair is scanned."""
+    ident = DenseMatrix.identity(field, n)
+    mapping = {}
+    for j in range(1, n):
+        e = DenseMatrix.elementary(field, n, n, 0, j)
+        mapping[j], mapping[-j] = ident + e, ident - e
+    return TauFamily(field, n, mapping)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_row0_family_matches_dense_brute_force(field, n):
+    tau = row0_family(field, n)
+    bound = n - 1
+    window = range(-(2 * bound + 1), 2 * bound + 2)
+    brute = max(
+        (tau.tau(m) * tau.tau(q) - tau.tau(m + q)).rank() for m in window for q in window
+    )
+    result = exact_defect(tau)
+    assert brute == 1 and result.defect.value == Fraction(brute, n)
+    m, q = result.witness_pair
+    assert (tau.tau(m) * tau.tau(q) - tau.tau(m + q)).rank() == brute
+    assert (brute, result.witness_pair) == principal_block_defect(tau)
+
+
+def dense_validation_error(field, n, mapping):
+    """The message TauFamily raises for a symmetric family, by dense ranks and products."""
+    ident = DenseMatrix.identity(field, n)
+    for j, mat in sorted(mapping.items()):
+        if (mat - ident).rank() > 1:
+            return f"tau({j}) is not within rank one of the identity"
+    for j in sorted(mapping):
+        if j > 0 and mapping[j] * mapping[-j] != ident:
+            return f"tau({j}) and tau({-j}) are not inverse"
+    return None
+
+
+@st.composite
+def inverse_pairs(draw):
+    """(field, n, D, M): D = u v^T, 1 + tr D = 0 in some cases, and M the
+    Sherman-Morrison inverse of I + D, a perturbed copy of it, or arbitrary."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3)]))
+    n = draw(st.integers(1, 5))
+    small = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    u, v = draw(small), draw(small)
+    k = draw(st.integers(0, n - 1))
+    if draw(st.booleans()) and field.coerce(u[k]):  # force v^T u = -1
+        rest = sum(field.coerce(v[i] * u[i]) for i in range(n) if i != k)
+        v[k] = (-field.one - rest) / field.coerce(u[k])
+    ident = DenseMatrix.identity(field, n)
+    d = DenseMatrix(field, [[x] for x in u]) * DenseMatrix(field, [v])
+    denom = field.one + (DenseMatrix(field, [v]) * DenseMatrix(field, [[x] for x in u])).entry(0, 0)
+    kind = draw(st.sampled_from(["inverse", "perturbed", "arbitrary"]))
+    if kind == "arbitrary" or not denom:
+        m = DenseMatrix(field, draw(st.lists(small, min_size=n, max_size=n)))
+    else:
+        m = ident - d.scale(field.one / denom)
+        if kind == "perturbed":
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            m = m + DenseMatrix.elementary(field, n, n, i, j, draw(st.integers(1, 2)))
+    return field, n, d, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(inverse_pairs(), st.sampled_from([1, -1]), st.integers(1, 3))
+def test_validation_matches_dense_checks(case, sign, j):
+    field, n, d, m = case
+    ident = DenseMatrix.identity(field, n)
+    mapping = {sign * j: ident + d, -sign * j: m}
+    expected = dense_validation_error(field, n, mapping)
+    assert (expected is None) == (d.rank() <= 1 and (ident + d) * m == ident)
+    if expected is None:
+        tau = TauFamily(field, n, mapping)
+        assert tau.tau(sign * j) == ident + d and tau.tau(-sign * j) == m
+    else:
+        with pytest.raises(ValueError) as err:
+            TauFamily(field, n, mapping)
+        assert str(err.value) == expected
+
+
+def dense_moved(tau, j):
+    delta = tau.tau(j) - DenseMatrix.identity(tau.field, tau.n)
+    return {i for i in range(tau.n) if any(delta.row(i)) or any(delta.column(i))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([QQ, GF(2), GF(3)]), st.integers(2, 6), st.integers(1, 3), st.integers(0, 2**32))
+def test_moved_matches_dense_rows_and_columns(field, n, bound, seed):
+    tau = rank_one_family(field, n, bound, seed)
+    for j in range(-bound - 1, bound + 2):
+        assert tau.moved(j) == dense_moved(tau, j)
+    for kind in ("transposition", "transvection"):
+        tau = preset_tau(kind, n, field)
+        assert all(tau.moved(j) == dense_moved(tau, j) for j in tau.support)
 
 
 def test_moved_coordinates_of_presets():
