@@ -436,12 +436,12 @@ class GaussianRationalField(ExactField):
 
     def _row(self, items):
         real = []
-        for j, x in items:  # an (re, im) pair of ints, as prng draws them, goes in as it is
+        for j, x in items:
             if isinstance(x, (int, Fraction)):
-                x = x, 0
-            elif not (type(x) is tuple and len(x) == 2 and type(x[0]) is type(x[1]) is int):
-                x = (g := self.coerce(x)).re, g.im
-            real += ((2 * j, x[0]), (2 * j + 1, -x[1]))
+                real.append((2 * j, x))
+            else:
+                x = self.coerce(x)
+                real += ((2 * j, x.re), (2 * j + 1, -x.im))
         row, den = QQ._row(real)
         return _complex_row(row), den
 

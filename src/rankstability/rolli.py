@@ -221,11 +221,10 @@ class TauFamily:
         # tr D_j = v^T u.  If 1 + tr D_j != 0, then (I + u v^T)(I - u v^T / (1 + v^T u)) = I
         # (Sherman-Morrison), so tau(j) tau(-j) = I exactly when D_-j = -D_j / (1 + tr D_j).
         # If 1 + tr D_j = 0, then (I + D_j) u = (1 + v^T u) u = 0 with u != 0: tau(j) is singular.
-        for j in sorted(self._map):
-            if j > 0:
-                den = sum((x for (r, c), x in deltas[j].items() if r == c), field.one)
-                if not den or deltas[-j] != {pos: -x / den for pos, x in deltas[j].items()}:
-                    raise ValueError(f"tau({j}) and tau({-j}) are not inverse")
+        for j in sorted(j for j in self._map if j > 0):
+            den = sum((x for (r, c), x in deltas[j].items() if r == c), field.one)
+            if not den or deltas[-j] != {pos: -x / den for pos, x in deltas[j].items()}:
+                raise ValueError(f"tau({j}) and tau({-j}) are not inverse")
         self.support = frozenset(self._map)
         self.support_bound = max((abs(j) for j in self.support), default=0)
 
