@@ -73,6 +73,14 @@ def _emit(report: dict, csv_header, csv_rows, out_prefix):
             print(buf.getvalue().rstrip("\n"))
 
 
+def _config(args, **resolved) -> dict:
+    """The echo of a command's options, keyed by flag name, with `resolved` values on top."""
+    skip = {"out", "rep_out", "jsonl", "command", "subcommand", "func"}  # outputs and dispatch
+    options = {"lambda" if name == "lam" else name: value
+               for name, value in vars(args).items() if name not in skip}
+    return {"command": f"{args.command} {args.subcommand}", **options, **resolved}
+
+
 # ---------------------------------------------------------------------------
 # verma commands
 
@@ -85,8 +93,7 @@ def _cmd_verma_build(args):
     structure = check_highest_weight_structure(rep)
     defect = rep.meta["pointwise_defect"]
     report = {
-        "config": {"command": "verma build", "algebra": args.algebra, "lambda": args.lam,
-                   "n": args.n, "field": args.field},
+        "config": _config(args),
         "dim": rep.dim,
         "defect": defect.to_json(),
         "bound": str(epsilon_bound(algebra, args.n)),
@@ -117,8 +124,7 @@ def _cmd_verma_defect(args):
             "pass": defect.value <= bound,
         })
     report = {
-        "config": {"command": "verma defect", "algebra": args.algebra, "lambda": args.lam,
-                   "n": args.n, "field": args.field},
+        "config": _config(args),
         "cases": cases,
         "pass": all(c["pass"] for c in cases),
     }
@@ -149,8 +155,7 @@ def _cmd_verma_casimir(args):
             if lhs != rhs:
                 commutes = False
     report = {
-        "config": {"command": "verma casimir", "algebra": args.algebra, "lambda": args.lam,
-                   "field": args.field},
+        "config": _config(args),
         "character": str(chi),
         "degree": omega.degree,
         "centrality_spot_check": commutes,
@@ -168,8 +173,7 @@ def _cmd_verma_separate(args):
     rep_b = build_truncation(algebra, mu, args.n, field)
     cert = separation_certificate(rep_a, rep_b)
     report = {
-        "config": {"command": "verma separate", "algebra": args.algebra,
-                   "lambda": args.lam, "mu": args.mu, "n": args.n, "field": args.field},
+        "config": _config(args),
         "certificate": cert.to_json(),
         "pass": cert.separated,
     }
@@ -209,11 +213,10 @@ def _cmd_verma_repdist(args):
             "kernel_dim": cert.kernel_dim,
             "bound": str(cert.flexible_bound) if cert.flexible_bound is not None else None,
             "basis_max": str(cert.basis_max_distance.value) if cert.basis_max_distance else None,
-            "pass": cert.verdict in ("certified", "bound vacuous at this n; increase n"),
+            "pass": cert.certified,
         })
     report = {
-        "config": {"command": "verma repdist", "algebra": args.algebra, "lambda": args.lam,
-                   "n": args.n, "field": args.field, "battery": args.battery, "seed": args.seed},
+        "config": _config(args),
         "cases": cases,
         "pass": all(c["pass"] for c in cases),
     }
@@ -229,8 +232,7 @@ def _cmd_verma_weyl(args):
     rep = build_truncation(algebra, weight, args.n, field)
     scan = weyl_twist_scan(rep, args.trials, args.seed)
     report = {
-        "config": {"command": "verma weyl", "lambda": args.lam, "n": args.n,
-                   "field": args.field, "trials": args.trials, "seed": args.seed},
+        "config": _config(args),
         "scan": scan,
         "pass": True,
     }
@@ -246,8 +248,7 @@ def _cmd_rolli_defect(args):
     tau = preset_tau(args.preset, args.n, field)
     result = exact_defect(tau)
     report = {
-        "config": {"command": "rolli defect", "preset": args.preset, "n": args.n,
-                   "field": args.field},
+        "config": _config(args),
         "defect": result.defect.to_json(),
         "bound": str(result.bound),
         "witness_pair": list(result.witness_pair),
@@ -263,8 +264,7 @@ def _cmd_rolli_witness(args):
     t = default_witness_exponent(tau) if args.t is None else args.t
     w, _, value = tau.witness(t)
     report = {
-        "config": {"command": "rolli witness", "preset": args.preset, "n": args.n,
-                   "field": args.field, "t": t},
+        "config": _config(args, t=t),
         "word": str(w),
         "witness_value": str(value),
         "pass": True,
@@ -280,8 +280,7 @@ def _cmd_rolli_certify(args):
         {"family": name, **r.to_json(), "pass": r.passed} for name, r in reports
     ]
     report = {
-        "config": {"command": "rolli certify", "preset": args.preset, "n": args.n,
-                   "field": args.field, "seed": args.seed, "conjugates": args.conjugates},
+        "config": _config(args),
         "cases": cases,
         "pass": all(c["pass"] for c in cases),
     }
@@ -307,8 +306,7 @@ def _cmd_rolli_pullback(args):
     direct = phi_eval(witness_word(t), tau)
     composed = ev.eval(gamma_witness)
     report = {
-        "config": {"command": "rolli pullback", "preset": args.preset, "n": args.n,
-                   "field": args.field},
+        "config": _config(args),
         "generator_images": {k: str(v) for k, v in images.items()},
         "witness_agrees": composed == direct,
         "pass": composed == direct,
@@ -348,8 +346,7 @@ def _cmd_compress_check(args):
         for rec in lines:
             print(json.dumps(rec, sort_keys=True))
     report = {
-        "config": {"command": "compress check", "n": args.n, "k": args.k,
-                   "trials": args.trials, "field": args.field, "seed": args.seed},
+        "config": _config(args),
         "cases": cases,
         "pass": all(c["pass"] for c in cases),
     }
@@ -383,7 +380,7 @@ def _cmd_field_selftest(args):
         cases.append({"field": "rational", "n": n, "law": "modular<=rank",
                       "pass": cert <= a.rank()})
     report = {
-        "config": {"command": "field selftest", "trials": args.trials, "seed": args.seed},
+        "config": _config(args),
         "cases": cases,
         "pass": all(c["pass"] for c in cases),
     }

@@ -17,11 +17,12 @@ with diagnostics rather than returning a verdict.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .errors import BoundViolation, DimensionMismatch, SingularMatrixError
 from .exactfield import DenseMatrix, hstack
 from .prng import XorShift64Star, random_matrix
+from .rankmetric import report_json
 
 __all__ = [
     "CompressionFrame",
@@ -119,17 +120,9 @@ class CompressionReport:
     k: int
     lhs: int
     rhs: int
-    passed: bool
+    passed: bool = dc_field(metadata={"json": "pass"})
 
-    def to_json(self) -> dict:
-        return {
-            "law": self.law,
-            "n": self.n,
-            "k": self.k,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "pass": self.passed,
-        }
+    to_json = report_json
 
 
 def verify_rank_lower(matrix: DenseMatrix, frame: CompressionFrame) -> CompressionReport:
@@ -164,17 +157,10 @@ class AlignmentReport:
     n: int
     k: int
     intersection_dim: int
-    per_matrix: tuple
+    per_matrix: tuple = dc_field(metadata={"json": "ranks"})
     bound: int
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "intersection_dim": self.intersection_dim,
-            "ranks": list(self.per_matrix),
-            "bound": self.bound,
-        }
+    to_json = report_json
 
 
 def _complete_to_invertible(partial: DenseMatrix) -> DenseMatrix:

@@ -327,9 +327,6 @@ class ExactField:
         """The row with each value times the stored value or int c."""
         return [(j, a * c) for j, a in row]
 
-    def _neg(self, row) -> list:
-        return [(j, -a) for j, a in row]
-
     def _canon(self, row, den) -> tuple:
         """(row / g, den / g) for g = gcd(den, the row's values): canonical storage."""
         if den == 1:
@@ -454,9 +451,6 @@ class GaussianRationalField(ExactField):
         x, y = c
         return [(j, (a * x - b * y, a * y + b * x)) for j, (a, b) in row]
 
-    def _neg(self, row):
-        return [(j, (-a, -b)) for j, (a, b) in row]
-
     def _canon(self, row, den):
         row, den = QQ._canon(_real_form([row], False)[0], den)
         return _complex_row(row), den
@@ -526,10 +520,6 @@ class PrimeField(ExactField):
     def _mul(self, row, c):
         p = self.p
         return [(j, a * c % p) for j, a in row]
-
-    def _neg(self, row):
-        p = self.p
-        return [(j, p - a) for j, a in row]
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -695,7 +685,7 @@ class DenseMatrix:
 
     def __neg__(self):
         f = self.field
-        return self._from_rows(f, [(f._neg(row), den) for row, den in zip(self._data, self._den)], self.cols)
+        return self._from_rows(f, [(f._mul(row, -1), den) for row, den in zip(self._data, self._den)], self.cols)
 
     def scale(self, c):
         f = self.field
@@ -825,7 +815,7 @@ class DenseMatrix:
         # an RREF row less its pivot 1, whose denominator is 1, stays canonical
         out = [([(free[j], f._one)], 1) if j in free else ([], 1) for j in range(self.cols)]
         for (row, den), pc in zip(pairs, pivots):
-            out[pc] = f._neg([(free[j], a) for j, a in row if j in free]), den
+            out[pc] = f._mul([(free[j], a) for j, a in row if j in free], -1), den
         return self._from_rows(f, out, len(free))
 
     def column_space_basis(self) -> "DenseMatrix":

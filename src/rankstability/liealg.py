@@ -30,7 +30,7 @@ from fractions import Fraction
 from .errors import DimensionMismatch, FieldMismatch
 from .exactfield import QQ, QQI, DenseMatrix, ExactField, GaussianRational
 from .prng import XorShift64Star
-from .rankmetric import RankDistance
+from .rankmetric import RankDistance, report_json
 
 __all__ = [
     "ChevalleyBasis",
@@ -269,14 +269,9 @@ class DefectReport:
     pointwise: RankDistance
     uniform_bound: Fraction
     worst_pair: tuple
-    dim: int
+    dim: int = dc_field(metadata={"json": None})
 
-    def to_json(self) -> dict:
-        return {
-            "pointwise": self.pointwise.to_json(),
-            "uniform_bound": str(self.uniform_bound),
-            "worst_pair": list(self.worst_pair),
-        }
+    to_json = report_json
 
 
 def pointwise_defect(rep: AlmostRep) -> DefectReport:

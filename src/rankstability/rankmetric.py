@@ -11,13 +11,39 @@ inputs it is always at least |n - m| / min(n, m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import DimensionMismatch, SingularMatrixError
 from .exactfield import DenseMatrix
 
-__all__ = ["RankDistance", "strict_distance", "flexible_distance", "map_distance", "MapDistance"]
+__all__ = ["RankDistance", "strict_distance", "flexible_distance", "map_distance", "MapDistance",
+           "report_json"]
+
+
+def report_json(report) -> dict:
+    """The JSON form of a report dataclass, one key per field.
+
+    A field is written under the `json` name in its metadata, if it has one,
+    or else under its own name; a `json` name of None leaves it out.  None,
+    bools, ints and strings stay as they are, tuples become lists, nested
+    reports go through their own `to_json`, and exact scalars become strings.
+    """
+    return {
+        name: _json_value(getattr(report, f.name))
+        for f in fields(report)
+        if (name := f.metadata.get("json", f.name)) is not None
+    }
+
+
+def _json_value(value):
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    return str(value)
 
 
 @dataclass(frozen=True)
@@ -103,13 +129,7 @@ class MapDistance:
     uniform_bound: Fraction
     mode: str
 
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "per_element": [d.to_json() for d in self.per_element],
-            "pointwise": self.pointwise.to_json(),
-            "uniform_bound": str(self.uniform_bound),
-        }
+    to_json = report_json
 
 
 def _images_of(rep):

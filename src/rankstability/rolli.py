@@ -13,7 +13,7 @@ tau(m) tau(q) by tau(m+q); the multiplicative defect of phi is therefore the
 exact maximum of rk(tau(m) tau(q) - tau(m+q)) over integer pairs, which a
 finite membership-pattern enumeration computes.  It never exceeds 3/n.  Each
 tau(j) is validated and scanned through I + u v^T: Sherman-Morrison checks
-tau(-j), and each pattern is ranked on a core of at most 3x3.
+tau(-j), and each pattern is ranked on a core of at most 2x2.
 
 The witness word a b a b^2 ... a b^t accumulates tau(1)...tau(t); presets are
 chosen so that product is far from the identity, which pushes every true
@@ -23,13 +23,13 @@ witness value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import BoundViolation, DimensionMismatch, FieldMismatch
 from .exactfield import QQ, DenseMatrix, ExactField, vstack
 from .prng import XorShift64Star, random_unimodular
-from .rankmetric import RankDistance, flexible_distance
+from .rankmetric import RankDistance, flexible_distance, report_json
 
 __all__ = [
     "ReducedWord",
@@ -298,12 +298,7 @@ class DefectResult:
     bound: Fraction
     witness_pair: tuple
 
-    def to_json(self) -> dict:
-        return {
-            "defect": self.defect.to_json(),
-            "bound": str(self.bound),
-            "witness_pair": list(self.witness_pair),
-        }
+    to_json = report_json
 
 
 def exact_defect(tau: TauFamily) -> DefectResult:
@@ -524,7 +519,7 @@ class ChainReport:
     """Every computable step of the distance argument, checked exactly."""
 
     n: int
-    target_dim: int
+    target_dim: int = dc_field(metadata={"json": "N"})
     witness_exponent: int
     witness_value: Fraction
     eps_lower: Fraction
@@ -540,21 +535,7 @@ class ChainReport:
     def passed(self) -> bool:
         return all(ok for _, ok in self.checks)
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "N": self.target_dim,
-            "witness_exponent": self.witness_exponent,
-            "witness_value": str(self.witness_value),
-            "eps_lower": str(self.eps_lower),
-            "delta": str(self.delta),
-            "rank_a": self.rank_a,
-            "rank_b": self.rank_b,
-            "fixed_dim": self.fixed_dim,
-            "rank_witness": self.rank_witness,
-            "final_bound": str(self.final_bound),
-            "checks": [[name, ok] for name, ok in self.checks],
-        }
+    to_json = report_json
 
 
 def rep_distance_certificate(tau: TauFamily, psi, witness_exponent: int | None = None) -> ChainReport:

@@ -16,7 +16,7 @@ what the separation and distance certificates exploit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import comb
 
@@ -24,7 +24,7 @@ from .errors import BoundViolation, DimensionMismatch, FieldMismatch
 from .exactfield import QQ, DenseMatrix, ExactField, vstack
 from .liealg import AlmostRep, ChevalleyBasis, pointwise_defect
 from .prng import XorShift64Star, random_unimodular
-from .rankmetric import RankDistance, flexible_distance
+from .rankmetric import RankDistance, flexible_distance, report_json
 
 __all__ = [
     "VermaModule",
@@ -244,13 +244,7 @@ class StructureReport:
         return self.cartan_diagonal and self.annihilates_highest and self.generated_dim == self.dim
 
     def to_json(self) -> dict:
-        return {
-            "cartan_diagonal": self.cartan_diagonal,
-            "annihilates_highest": self.annihilates_highest,
-            "generated_dim": self.generated_dim,
-            "dim": self.dim,
-            "pass": self.passed,
-        }
+        return {**report_json(self), "pass": self.passed}
 
 
 def _matvec(mat: DenseMatrix, vec: list) -> list:
@@ -428,13 +422,9 @@ class NearScalarReport:
         return self.deviation.numerator == 0
 
     def to_json(self) -> dict:
-        return {
-            "deviation": self.deviation.to_json(),
-            "bound": str(self.bound),
-            "degree": self.degree,
-            "character": str(self.character),
-            "exact_scalar": self.exact_scalar,
-        }
+        # str() here too: a caller may pass an int character
+        return {**report_json(self), "character": str(self.character),
+                "exact_scalar": self.exact_scalar}
 
 
 def check_near_scalar(rep: AlmostRep, element: UEAElement, character=None) -> NearScalarReport:
@@ -463,8 +453,8 @@ def check_near_scalar(rep: AlmostRep, element: UEAElement, character=None) -> Ne
 @dataclass(frozen=True)
 class SeparationReport:
     verdict: str
-    character_a: object
-    character_b: object
+    character_a: object = dc_field(metadata={"json": "chi_a"})
+    character_b: object = dc_field(metadata={"json": "chi_b"})
     distance: RankDistance | None
     rank_lower: Fraction | None
     strict_distance_bound: Fraction | None
@@ -473,19 +463,7 @@ class SeparationReport:
     def separated(self) -> bool:
         return self.verdict == "separated"
 
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "chi_a": str(self.character_a),
-            "chi_b": str(self.character_b),
-            "distance": self.distance.to_json() if self.distance else None,
-            "rank_lower": str(self.rank_lower) if self.rank_lower is not None else None,
-            "strict_distance_bound": (
-                str(self.strict_distance_bound)
-                if self.strict_distance_bound is not None
-                else None
-            ),
-        }
+    to_json = report_json
 
 
 def separation_certificate(rep_a: AlmostRep, rep_b: AlmostRep) -> SeparationReport:
@@ -545,16 +523,7 @@ class RepDistanceReport:
     def certified(self) -> bool:
         return self.verdict == "certified"
 
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "kernel_dim": self.kernel_dim,
-            "flexible_bound": str(self.flexible_bound) if self.flexible_bound is not None else None,
-            "basis_max_distance": (
-                self.basis_max_distance.to_json() if self.basis_max_distance else None
-            ),
-            "characters": [str(c) for c in self.characters],
-        }
+    to_json = report_json
 
 
 def rep_distance_certificate(rep: AlmostRep, psi: AlmostRep) -> RepDistanceReport:

@@ -155,6 +155,21 @@ def test_separate_linked_weights_fails(capsys):
     assert report["certificate"]["verdict"].startswith("inconclusive")
 
 
+@pytest.mark.parametrize("n, code, verdict", [
+    (8, 3, "bound vacuous at this n; increase n"),
+    (9, 0, "certified"),
+])
+def test_repdist_passes_only_when_certified(capsys, n, code, verdict):
+    # the sl2 bound (1 - 8/n)/6 is vacuous for n <= 8, and a vacuous bound certifies nothing
+    got, out, _ = run_cli(capsys, "verma", "repdist", "--lambda", "1/2", "--n", str(n),
+                          "--battery", "10", "--seed", "1")
+    report = strip_timing(out)
+    assert got == code
+    assert report["pass"] is (code == 0)
+    assert {c["verdict"] for c in report["cases"]} == {verdict}
+    assert all(c["pass"] is (code == 0) for c in report["cases"])
+
+
 def run_sweep(tmp_path, capsys, config):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(config))
