@@ -30,8 +30,9 @@ def report_json(report) -> dict:
     reports go through their own `to_json`, and exact scalars become strings.
     """
     out = {}
-    # not dataclasses.fields(), whose per-call tuple shifted when the cyclic
-    # collector ran and raised small-dense-gf's peak RSS by about 0.25 MB
+    # not dataclasses.fields(), which also skips ClassVars (no report has one):
+    # the tuple it builds per call changed when the cyclic collector ran, and
+    # with that the benchmark's peak RSS
     for f in report.__dataclass_fields__.values():
         name = f.metadata.get("json", f.name)
         if name is not None:
