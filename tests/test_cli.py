@@ -135,6 +135,32 @@ def test_out_prefix_writes_files(tmp_path, capsys):
     assert csv_text.splitlines()[0] == "n,dim,defect,bound,pass"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verma", "defect", "--lambda", "1/2", "--n", "4,8"],
+    ["verma", "casimir", "--algebra", "sl3", "--lambda", "1/2,1/3"],
+    ["compress", "check", "--n", "4", "--k", "2", "--trials", "2", "--seed", "1"],
+], ids=["defect", "casimir", "compress"])
+def test_out_files_hold_what_stdout_prints(tmp_path, capsys, argv):
+    code, printed, _ = run_cli(capsys, *argv)
+    assert code == 0
+    prefix = str(tmp_path / "report")
+    code, out, _ = run_cli(capsys, "--out", prefix, *argv)
+    assert code == 0
+    lines_end = printed.index("{\n")  # the per-trial JSON lines of compress check
+    report_end = printed.index("\n}\n") + 3
+    assert out == printed[:lines_end] + f"wrote {prefix}.json" + (
+        f" and {prefix}.csv\n" if report_end < len(printed) else "\n")
+    written = (tmp_path / "report.json").read_text()
+    report = json.loads(printed[lines_end:report_end])
+    report["timing"] = json.loads(written)["timing"]
+    assert written == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    csv_path = tmp_path / "report.csv"
+    if report_end < len(printed):
+        assert csv_path.read_bytes().decode() == printed[report_end:]
+    else:
+        assert not csv_path.exists()
+
+
 def test_verma_build_serialization_roundtrip(tmp_path, capsys):
     rep_path = str(tmp_path / "rep.txt")
     code, out, _ = run_cli(
