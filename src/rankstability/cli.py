@@ -7,6 +7,13 @@ the content of the "timing" key varies between identical runs.  Exit codes:
 certified bound was violated (the latter with a diagnostic dump, since it
 indicates a bug).
 
+A command handler returns only its report's body, with an optional CSV table;
+`_run` puts it in the envelope every report shares.  The envelope adds
+"config", the echo of the command's options, unless the body echoes its own
+(`rolli witness` adds its resolved `t`, `sweep` its config file), and, when
+the body has "cases" and no "pass", sets "pass" to whether every case passes.
+A report without "pass" exits 0.
+
 A sweep entry {"command": "group.sub", "options": {...}} runs any rsl
 subcommand, with options keyed by their flag names; it is parsed by the same
 parser as the command line, and a malformed entry is a usage error (exit 2).
@@ -53,24 +60,16 @@ from .verma import (
 
 
 def _emit(report: dict, csv_header, csv_rows, out_prefix):
-    text = json.dumps(report, sort_keys=True, indent=2)
+    """Print the JSON report and the CSV table, or write them to `out_prefix`.json and .csv."""
+    with contextlib.ExitStack() as files:
+        def sink(suffix, **kwargs):
+            return files.enter_context(open(out_prefix + suffix, "w", **kwargs)) if out_prefix else sys.stdout
+
+        print(json.dumps(report, sort_keys=True, indent=2), file=sink(".json"))
+        if csv_header:
+            csv.writer(sink(".csv", newline="")).writerows([csv_header, *csv_rows])
     if out_prefix:
-        with open(out_prefix + ".json", "w") as fh:
-            fh.write(text + "\n")
-        if csv_header:
-            with open(out_prefix + ".csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(csv_header)
-                writer.writerows(csv_rows)
         print(f"wrote {out_prefix}.json" + (f" and {out_prefix}.csv" if csv_header else ""))
-    else:
-        print(text)
-        if csv_header:
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerow(csv_header)
-            writer.writerows(csv_rows)
-            print(buf.getvalue().rstrip("\n"))
 
 
 def _config(args, **resolved) -> dict:
@@ -81,19 +80,32 @@ def _config(args, **resolved) -> dict:
     return {"command": f"{args.command} {args.subcommand}", **options, **resolved}
 
 
+def _run(args):
+    """(report, csv header, csv rows) of a parsed command, its body in the report envelope."""
+    report, header, rows = args.func(args)
+    if "config" not in report:
+        report["config"] = _config(args)
+    if "cases" in report and "pass" not in report:
+        report["pass"] = all(c["pass"] for c in report["cases"])
+    return report, header, rows
+
+
 # ---------------------------------------------------------------------------
 # verma commands
 
 
-def _cmd_verma_build(args):
+def _verma_inputs(args):
+    """(algebra, field, weight) of a command whose options come from add_common."""
     field = field_from_tag(args.field)
-    algebra = build_sl(int(args.algebra[2:]))
-    weight = parse_weight(field, args.lam)
+    return build_sl(int(args.algebra[2:])), field, parse_weight(field, args.lam)
+
+
+def _cmd_verma_build(args):
+    algebra, field, weight = _verma_inputs(args)
     rep = build_truncation(algebra, weight, args.n, field)
     structure = check_highest_weight_structure(rep)
     defect = rep.meta["pointwise_defect"]
     report = {
-        "config": _config(args),
         "dim": rep.dim,
         "defect": defect.to_json(),
         "bound": str(epsilon_bound(algebra, args.n)),
@@ -108,9 +120,7 @@ def _cmd_verma_build(args):
 
 
 def _cmd_verma_defect(args):
-    field = field_from_tag(args.field)
-    algebra = build_sl(int(args.algebra[2:]))
-    weight = parse_weight(field, args.lam)
+    algebra, field, weight = _verma_inputs(args)
     cases = []
     for n in sorted(int(x) for x in args.n.split(",")):
         rep = build_truncation(algebra, weight, n, field)
@@ -123,19 +133,12 @@ def _cmd_verma_defect(args):
             "bound": str(bound),
             "pass": defect.value <= bound,
         })
-    report = {
-        "config": _config(args),
-        "cases": cases,
-        "pass": all(c["pass"] for c in cases),
-    }
     rows = [[c["n"], c["dim"], c["defect"], c["bound"], c["pass"]] for c in cases]
-    return report, ["n", "dim", "defect", "bound", "pass"], rows
+    return {"cases": cases}, ["n", "dim", "defect", "bound", "pass"], rows
 
 
 def _cmd_verma_casimir(args):
-    field = field_from_tag(args.field)
-    algebra = build_sl(int(args.algebra[2:]))
-    weight = parse_weight(field, args.lam)
+    algebra, field, weight = _verma_inputs(args)
     omega = casimir(algebra, field)
     chi = central_character_value(algebra, omega, weight, field)
     module = VermaModule(algebra, weight, field)
@@ -154,30 +157,21 @@ def _cmd_verma_casimir(args):
             rhs = module.act_element(omega, module.act_vector(gen, vec))
             if lhs != rhs:
                 commutes = False
-    report = {
-        "config": _config(args),
+    return {
         "character": str(chi),
         "degree": omega.degree,
         "centrality_spot_check": commutes,
         "pass": commutes,
-    }
-    return report, None, None
+    }, None, None
 
 
 def _cmd_verma_separate(args):
-    field = field_from_tag(args.field)
-    algebra = build_sl(int(args.algebra[2:]))
-    lam = parse_weight(field, args.lam)
+    algebra, field, lam = _verma_inputs(args)
     mu = parse_weight(field, args.mu)
     rep_a = build_truncation(algebra, lam, args.n, field)
     rep_b = build_truncation(algebra, mu, args.n, field)
     cert = separation_certificate(rep_a, rep_b)
-    report = {
-        "config": _config(args),
-        "certificate": cert.to_json(),
-        "pass": cert.separated,
-    }
-    return report, None, None
+    return {"certificate": cert.to_json(), "pass": cert.separated}, None, None
 
 
 def _partition_battery(total_dim: int, count: int, seed: int) -> list:
@@ -198,9 +192,7 @@ def _partition_battery(total_dim: int, count: int, seed: int) -> list:
 
 
 def _cmd_verma_repdist(args):
-    field = field_from_tag(args.field)
-    algebra = build_sl(int(args.algebra[2:]))
-    weight = parse_weight(field, args.lam)
+    algebra, field, weight = _verma_inputs(args)
     rep = build_truncation(algebra, weight, args.n, field)
     batts = _partition_battery(rep.dim, args.battery, args.seed)
     cases = []
@@ -215,14 +207,9 @@ def _cmd_verma_repdist(args):
             "basis_max": str(cert.basis_max_distance.value) if cert.basis_max_distance else None,
             "pass": cert.certified,
         })
-    report = {
-        "config": _config(args),
-        "cases": cases,
-        "pass": all(c["pass"] for c in cases),
-    }
     rows = [[c["case"], " ".join(map(str, c["partition"])), c["verdict"],
              c["kernel_dim"], c["bound"], c["basis_max"], c["pass"]] for c in cases]
-    return report, ["case", "partition", "verdict", "kernel_dim", "bound", "basis_max", "pass"], rows
+    return {"cases": cases}, ["case", "partition", "verdict", "kernel_dim", "bound", "basis_max", "pass"], rows
 
 
 def _cmd_verma_weyl(args):
@@ -231,12 +218,7 @@ def _cmd_verma_weyl(args):
     weight = parse_weight(field, args.lam)
     rep = build_truncation(algebra, weight, args.n, field)
     scan = weyl_twist_scan(rep, args.trials, args.seed)
-    report = {
-        "config": _config(args),
-        "scan": scan,
-        "pass": True,
-    }
-    return report, None, None
+    return {"scan": scan, "pass": True}, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +230,6 @@ def _cmd_rolli_defect(args):
     tau = preset_tau(args.preset, args.n, field)
     result = exact_defect(tau)
     report = {
-        "config": _config(args),
         "defect": result.defect.to_json(),
         "bound": str(result.bound),
         "witness_pair": list(result.witness_pair),
@@ -263,13 +244,13 @@ def _cmd_rolli_witness(args):
     tau = preset_tau(args.preset, args.n, field)
     t = default_witness_exponent(tau) if args.t is None else args.t
     w, _, value = tau.witness(t)
-    report = {
+    return {
         "config": _config(args, t=t),
         "word": str(w),
         "witness_value": str(value),
-        "pass": True,
-    }
-    return report, None, None
+        # c > 1/n, so that the distance chain's bound (c - 1/n)/6 is positive
+        "pass": value * tau.n > 1,
+    }, None, None
 
 
 def _cmd_rolli_certify(args):
@@ -279,14 +260,9 @@ def _cmd_rolli_certify(args):
     cases = [
         {"family": name, **r.to_json(), "pass": r.passed} for name, r in reports
     ]
-    report = {
-        "config": _config(args),
-        "cases": cases,
-        "pass": all(c["pass"] for c in cases),
-    }
     rows = [[c["family"], c["eps_lower"], c["final_bound"], c["witness_value"], c["pass"]]
             for c in cases]
-    return report, ["family", "eps_lower", "bound", "witness_value", "pass"], rows
+    return {"cases": cases}, ["family", "eps_lower", "bound", "witness_value", "pass"], rows
 
 
 def _cmd_rolli_pullback(args):
@@ -305,13 +281,11 @@ def _cmd_rolli_pullback(args):
         gamma_witness.append(("g2", j))
     direct = phi_eval(witness_word(t), tau)
     composed = ev.eval(gamma_witness)
-    report = {
-        "config": _config(args),
+    return {
         "generator_images": {k: str(v) for k, v in images.items()},
         "witness_agrees": composed == direct,
         "pass": composed == direct,
-    }
-    return report, None, None
+    }, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +295,6 @@ def _cmd_rolli_pullback(args):
 def _cmd_compress_check(args):
     field = field_from_tag(args.field)
     rng = XorShift64Star(args.seed)
-    lines = []
     cases = []
     for trial in range(args.trials):
         m1 = random_matrix(field, rng, args.n, args.n)
@@ -332,26 +305,17 @@ def _cmd_compress_check(args):
         r2 = verify_mult_defect(m1, m2, frame1)
         _, r3 = align_compressions(frame1, frame2, [m1, m2])
         for law, rep in (("rank_lower", r1), ("mult_defect", r2)):
-            rec = {"trial": trial, "law": law, **rep.to_json()}
-            lines.append(rec)
-            cases.append(rec)
-        rec = {"trial": trial, "law": "align", "n": args.n, "k": args.k,
-               "lhs": max(r3.per_matrix), "rhs": r3.bound,
-               "pass": max(r3.per_matrix) <= r3.bound}
-        lines.append(rec)
-        cases.append(rec)
+            cases.append({"trial": trial, "law": law, **rep.to_json()})
+        cases.append({"trial": trial, "law": "align", "n": args.n, "k": args.k,
+                      "lhs": max(r3.per_matrix), "rhs": r3.bound,
+                      "pass": max(r3.per_matrix) <= r3.bound})
     # per-trial JSON lines belong to the direct subcommand's stdout, not to
     # batch runs whose stdout is a single report document
     if args.jsonl:
-        for rec in lines:
+        for rec in cases:
             print(json.dumps(rec, sort_keys=True))
-    report = {
-        "config": _config(args),
-        "cases": cases,
-        "pass": all(c["pass"] for c in cases),
-    }
     rows = [[c["trial"], c["law"], c["n"], c["k"], c["lhs"], c["rhs"], c["pass"]] for c in cases]
-    return report, ["trial", "law", "n", "k", "lhs", "rhs", "pass"], rows
+    return {"cases": cases}, ["trial", "law", "n", "k", "lhs", "rhs", "pass"], rows
 
 
 def _cmd_field_selftest(args):
@@ -379,12 +343,7 @@ def _cmd_field_selftest(args):
         cert = modular_rank_certificate(a, [5, 7])
         cases.append({"field": "rational", "n": n, "law": "modular<=rank",
                       "pass": cert <= a.rank()})
-    report = {
-        "config": _config(args),
-        "cases": cases,
-        "pass": all(c["pass"] for c in cases),
-    }
-    return report, None, None
+    return {"cases": cases}, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +388,7 @@ def run_config(config: dict) -> dict:
     if not isinstance(runs, list):
         raise ValueError('sweep config "runs" is not a list')
     parsed = [_entry_args(run) for run in runs]
-    sub_reports = [args.func(args)[0] for args in parsed]
+    sub_reports = [_run(args)[0] for args in parsed]
     return {
         "config": {"command": "sweep", "echo": config},
         "runs": sub_reports,
@@ -569,7 +528,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        report, header, rows = args.func(args)
+        report, header, rows = _run(args)
     except BoundViolation as exc:
         print(f"BOUND VIOLATION: {exc}", file=sys.stderr)
         for key, value in exc.details.items():

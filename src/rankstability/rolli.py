@@ -95,25 +95,6 @@ class ReducedWord:
                 sylls.append(("b", m_i))
         return _reduce_syllables(sylls)
 
-    def pairs(self) -> tuple:
-        """The alternating exponent list (n_1, m_1, ..., n_k, m_k) as pairs.
-
-        n_1 and m_k may be zero; interior entries are nonzero.
-        """
-        out = []
-        pending_a = None
-        for gen, exp in self.syllables:
-            if gen == "a":
-                if pending_a is not None:
-                    out.append((pending_a, 0))
-                pending_a = exp
-            else:
-                out.append((pending_a if pending_a is not None else 0, exp))
-                pending_a = None
-        if pending_a is not None:
-            out.append((pending_a, 0))
-        return tuple(out)
-
     def b_exponents(self) -> tuple:
         return tuple(exp for gen, exp in self.syllables if gen == "b")
 

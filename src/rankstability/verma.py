@@ -28,7 +28,6 @@ from .rankmetric import RankDistance, flexible_distance, report_json
 
 __all__ = [
     "VermaModule",
-    "act_generator",
     "truncation_monomials",
     "epsilon_bound",
     "build_truncation",
@@ -155,13 +154,6 @@ def _merge(acc: dict, extra: dict, scale=None) -> dict:
         elif cur is not None:
             del out[mono]
     return out
-
-
-def act_generator(algebra: ChevalleyBasis, weight, gen, mono, field: ExactField = QQ) -> dict:
-    """One-shot exact action of a basis generator on an ordered monomial."""
-    if isinstance(gen, str):
-        gen = algebra.index_of(gen)
-    return VermaModule(algebra, weight, field).act(gen, tuple(mono))
 
 
 def truncation_monomials(m: int, n: int) -> list:

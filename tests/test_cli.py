@@ -196,6 +196,20 @@ def test_repdist_passes_only_when_certified(capsys, n, code, verdict):
     assert all(c["pass"] is (code == 0) for c in report["cases"])
 
 
+@pytest.mark.parametrize("options, code, value", [
+    (["--preset", "diag_involution", "--t", "1"], 3, "1/12"),
+    (["--preset", "diag_involution", "--t", "2"], 0, "1/6"),
+    (["--preset", "transposition", "--field", "gf2"], 0, "11/12"),
+])
+def test_witness_passes_only_above_one_over_n(capsys, options, code, value):
+    # the chain's bound (c - 1/n)/6 is vacuous unless the witness value c exceeds 1/n
+    got, out, _ = run_cli(capsys, "rolli", "witness", "--n", "12", *options)
+    report = strip_timing(out)
+    assert got == code
+    assert report["witness_value"] == value
+    assert report["pass"] is (code == 0)
+
+
 def run_sweep(tmp_path, capsys, config):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(config))

@@ -30,7 +30,6 @@ from rankstability.prng import XorShift64Star
 from rankstability.rankmetric import strict_distance
 from rankstability.verma import (
     _Span,
-    act_generator,
     parse_weight,
     reordered_sl2_casimir,
     sl2_lowest_weight_intertwiner,
@@ -72,11 +71,6 @@ def test_act_f_is_free():
     mod = module()
     for k in range(5):
         assert mod.act(0, (k,)) == {(k + 1,): Fraction(1)}
-
-
-def test_act_generator_wrapper_accepts_labels():
-    out = act_generator(SL2, HALF, "e", (2,))
-    assert out == {(1,): 2 * (Fraction(1, 2) - 1)}
 
 
 def test_act_weight_length_checked():
