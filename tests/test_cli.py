@@ -199,7 +199,6 @@ def test_repdist_passes_only_when_certified(capsys, n, code, verdict):
 @pytest.mark.parametrize("options, code, value", [
     (["--preset", "diag_involution", "--t", "1"], 3, "1/12"),
     (["--preset", "diag_involution", "--t", "2"], 0, "1/6"),
-    (["--preset", "transposition", "--field", "gf2"], 0, "11/12"),
 ])
 def test_witness_passes_only_above_one_over_n(capsys, options, code, value):
     # the chain's bound (c - 1/n)/6 is vacuous unless the witness value c exceeds 1/n
