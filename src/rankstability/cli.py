@@ -176,9 +176,8 @@ def _cmd_verma_separate(args):
 
 def _partition_battery(total_dim: int, count: int, seed: int) -> list:
     """Deterministic list of partitions d_i with sum(d_i + 1) = total_dim."""
-    batts = [[total_dim - 1], [0] * total_dim]
-    if total_dim >= 3:
-        batts.append([1] * ((total_dim - 1) // 2) + [0] * (1 + (total_dim - 1) % 2))
+    batts = [[total_dim - 1], [0] * total_dim,
+             [1] * ((total_dim - 1) // 2) + [0] * (1 + (total_dim - 1) % 2)]
     rng = XorShift64Star(seed)
     while len(batts) < count:
         remaining = total_dim
@@ -218,7 +217,7 @@ def _cmd_verma_weyl(args):
     weight = parse_weight(field, args.lam)
     rep = build_truncation(algebra, weight, args.n, field)
     scan = weyl_twist_scan(rep, args.trials, args.seed)
-    return {"scan": scan, "pass": True}, None, None
+    return {"scan": scan}, None, None
 
 
 # ---------------------------------------------------------------------------

@@ -190,8 +190,7 @@ class ChevalleyBasis:
         return self._table[(i, j)]
 
     def bracket_coords(self, a, b) -> dict[int, object]:
-        """Commutator in basis coordinates; inputs are indices, coordinate maps,
-        coordinate sequences, or raw trace-zero matrices."""
+        """Commutator in basis coordinates; inputs are indices or coordinate maps."""
         ca = self._normalize_coords(a)
         cb = self._normalize_coords(b)
         out: dict[int, object] = {}
@@ -208,15 +207,7 @@ class ChevalleyBasis:
         return {k: v for k, v in out.items() if v}
 
     def _normalize_coords(self, a) -> dict[int, object]:
-        if isinstance(a, int):
-            return {a: 1}
-        if isinstance(a, dict):
-            return a
-        if isinstance(a, DenseMatrix) or (
-            isinstance(a, (list, tuple)) and a and isinstance(a[0], (list, tuple))
-        ):
-            return self.coordinates_of(a)
-        return {i: v for i, v in enumerate(a) if v}
+        return {a: 1} if isinstance(a, int) else a
 
     def realization(self, idx: int, field: ExactField) -> DenseMatrix:
         return DenseMatrix(field, self.matrices[idx])

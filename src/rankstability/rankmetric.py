@@ -61,29 +61,11 @@ class RankDistance:
     def value(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 
-    def __le__(self, other):
-        return self.value <= _as_value(other)
-
-    def __lt__(self, other):
-        return self.value < _as_value(other)
-
-    def __ge__(self, other):
-        return self.value >= _as_value(other)
-
-    def __gt__(self, other):
-        return self.value > _as_value(other)
-
     def to_json(self) -> dict:
         return {"num": self.numerator, "den": self.denominator, "value": str(self.value)}
 
     def __str__(self):
         return f"{self.numerator}/{self.denominator}"
-
-
-def _as_value(x) -> Fraction:
-    if isinstance(x, RankDistance):
-        return x.value
-    return Fraction(x)
 
 
 def strict_distance(a: DenseMatrix, b: DenseMatrix, require_invertible: bool = False) -> RankDistance:

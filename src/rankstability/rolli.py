@@ -245,7 +245,7 @@ def preset_tau(kind: str, n: int, field: ExactField = QQ) -> TauFamily:
 
     mapping: dict[int, DenseMatrix] = {}
     if kind == "diag_involution":
-        if getattr(field, "characteristic", 0) == 2:
+        if field.characteristic == 2:
             raise ValueError("diag_involution needs characteristic != 2")
         for j in range(1, n + 1):
             mapping[j] = mapping[-j] = ident_plus({(j - 1, j - 1): -2})
@@ -286,9 +286,10 @@ def exact_defect(tau: TauFamily) -> DefectResult:
     """The exact multiplicative defect of the induced free-group map.
 
     Enumerates rk(tau(m) tau(q) - tau(m+q)) over all membership patterns of
-    (m, q, m+q) relative to the finite support: both inside, one inside with
-    the sum escaping or landing anywhere in the support, and both outside.
-    Certifies the result against 3/n.
+    (m, q, m+q) relative to the finite support.  Pairs with both inside are
+    ranked one by one; any other pattern is a D_u = tau(u) - I, or a
+    tau(u) - tau(s) that the pair (u, -s) already ranks.  Certifies the result
+    against 3/n.
     """
     support = sorted(tau.support)
     best = 0
@@ -301,27 +302,19 @@ def exact_defect(tau: TauFamily) -> DefectResult:
                 best = r
                 pair = (m, q)
         # tau(m) tau(q) - tau(m+q) = D_m + D_q + D_m D_q - D_{m+q} has rank at
-        # most 3 and the patterns below at most 2, so no later pair can replace
+        # most 3 and the pattern below at most 1, so no later pair can replace
         # one that reaches 3.
         if best == 3:
             break
 
-    # one exponent outside the support: tau(u) - tau(s) with s - u escaping,
-    # and tau(u) - I = D_u; both are also what the two-outside patterns produce.
+    # One exponent outside the support gives tau(u) - I = D_u, or tau(u) - tau(s)
+    # with s - u escaping.  The latter needs no scan: it is (tau(u) tau(-s) - I) tau(s),
+    # the pair (u, -s) ranked above, as -s is in the support and u - s is not.
     for u in support:
         r = 1 if u in tau._factors else 0
         if r > best:
             best = r
             pair = (u, tau.support_bound * 2 + 1)
-    if best < 2:
-        for u in support:
-            for s in support:
-                if s == u or (s - u) in tau.support:
-                    continue
-                r = _pattern_rank(tau, ((u, 1), (s, -1)))
-                if r > best:
-                    best = r
-                    pair = (u, s - u)
 
     rd = RankDistance(best, tau.n)
     bound = Fraction(3, tau.n)
@@ -431,9 +424,7 @@ class ExplicitRep(FreeGroupRep):
         hit = self._powers.get(key)
         if hit is not None:
             return hit
-        if k == 0:
-            out = DenseMatrix.identity(self.field, self.dim)
-        elif k == 1:
+        if k == 1:
             out = self._gens[gen]
         elif k == -1:
             out = self._gens[gen].inverse()
@@ -519,13 +510,12 @@ class ChainReport:
     to_json = report_json
 
 
-def rep_distance_certificate(tau: TauFamily, psi, witness_exponent: int | None = None) -> ChainReport:
+def rep_distance_certificate(tau: TauFamily, psi: FreeGroupRep) -> ChainReport:
     """Certify the distance chain between phi and a true representation psi.
 
-    psi may be a FreeGroupRep or a pair (A, B) of invertible matrices, which
-    determine a homomorphism freely.  With c the witness value
-    rk(phi(w) - I_n) and eps the maximum flexible distance over {a, b, w},
-    the chain
+    With w the witness word at default_witness_exponent(tau), c the witness
+    value rk(phi(w) - I_n) and eps the maximum flexible distance over
+    {a, b, w}, the chain
 
         rank(psi(a) - I_N) <= 2 eps n
         rank(psi(b) - I_N) <= (2 eps + 1/n) n
@@ -536,14 +526,12 @@ def rep_distance_certificate(tau: TauFamily, psi, witness_exponent: int | None =
     forces eps >= (c - 1/n)/6.  Each step is evaluated exactly; a violation
     aborts, since every step is a theorem for a true homomorphism.
     """
-    if isinstance(psi, tuple):
-        psi = ExplicitRep(*psi)
     if psi.field != tau.field:
         raise FieldMismatch("representation and tau family over different fields")
     n = tau.n
     N = psi.dim
     field = tau.field
-    t = default_witness_exponent(tau) if witness_exponent is None else witness_exponent
+    t = default_witness_exponent(tau)
     w, phi_w, c = tau.witness(t)
 
     phi_a = tau.tau(0)
@@ -585,29 +573,27 @@ def rep_distance_certificate(tau: TauFamily, psi, witness_exponent: int | None =
     return report
 
 
-def certificate_battery(
-    tau: TauFamily, seed: int, conjugates: int = 20, witness_exponent: int | None = None
-) -> list:
+def certificate_battery(tau: TauFamily, seed: int, conjugates: int = 20) -> list:
     """Run the chain against the trivial, monomial, and random-conjugate families."""
     field = tau.field
     n = tau.n
     rng = XorShift64Star(seed)
     reports = []
-    reports.append(("trivial", rep_distance_certificate(tau, trivial_rep(field, n), witness_exponent)))
+    reports.append(("trivial", rep_distance_certificate(tau, trivial_rep(field, n))))
 
     cycle = tuple((j + 1) % n for j in range(n))
     reversal = tuple(n - 1 - j for j in range(n))
-    if getattr(field, "characteristic", 0) == 2:
+    if field.characteristic == 2:
         scale = [1] * n
     else:
         scale = [(-1) ** j for j in range(n)]
     monomial = MonomialRep(field, cycle, scale, reversal, [1] * n)
-    reports.append(("monomial", rep_distance_certificate(tau, monomial, witness_exponent)))
+    reports.append(("monomial", rep_distance_certificate(tau, monomial)))
 
     for i in range(conjugates):
         conj, conj_inv = random_unimodular(field, rng, n)
         rep = ConjugatedRep(conj, monomial, conj_inv)
-        reports.append((f"conjugate_{i}", rep_distance_certificate(tau, rep, witness_exponent)))
+        reports.append((f"conjugate_{i}", rep_distance_certificate(tau, rep)))
     return reports
 
 

@@ -209,6 +209,16 @@ def test_witness_passes_only_above_one_over_n(capsys, options, code, value):
     assert report["pass"] is (code == 0)
 
 
+def test_weyl_scan_reports_no_verdict(capsys):
+    # the twist scan claims nothing, so its report carries no pass key and exits 0
+    got, out, _ = run_cli(capsys, "verma", "weyl", "--lambda", "1/2", "--n", "8",
+                          "--trials", "5", "--seed", "1")
+    report = strip_timing(out)
+    assert got == 0
+    assert "pass" not in report
+    assert set(report) == {"config", "scan"}
+
+
 def run_sweep(tmp_path, capsys, config):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(config))

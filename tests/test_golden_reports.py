@@ -51,7 +51,7 @@ GOLDEN = {
     "verma separate --lambda 1/2 --mu 1/3 --n 16": "c67ed57fb808692498d7a6e69faf4971aa955fdb565b83c73142c786b61d5861",
     "verma repdist --lambda 1/2 --n 48 --battery 10 --seed 1": "f448ab72e29dccf6acdd96b1d8d7075c8582b988663c08d7ad33cf8800a1d55f",
     "verma casimir --algebra sl3 --lambda 1/2,1/3": "2e444afe6a6898d7439b88f1eedae41c4aadc244893795800355e12b0cf6cffe",
-    "verma weyl --lambda 1/2 --n 8 --trials 5 --seed 1": "15c806b2d8e21bb21136885e4b32e2e057b0e8aab691ab09d6fd7445c7bf9f2c",
+    "verma weyl --lambda 1/2 --n 8 --trials 5 --seed 1": "bc479ee48b19f2d2b040fde8dfed1da270a35c4ec4debcd6c1147a73e0433b79",
     "rolli defect --preset diag_involution --n 12 --field rational": "5da3035f5bcd8678caadfd03ce7bb6471a6d23729dba38d5c2f649bf55923fed",
     "rolli witness --preset transposition --n 12 --field gf2": "4150a7e5b7c36de142f9713d3ae29814fdc7099b94ed8195b3292be401728b14",
     "rolli certify --preset diag_involution --n 12 --seed 1 --conjugates 20": "c9f400ff07708350a2948885daa35a91101f94ad22a7b4ad87946367df3bccff",

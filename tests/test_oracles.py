@@ -6,6 +6,7 @@ module axiom, both without going through the code paths under test.
 """
 
 from fractions import Fraction
+from math import comb
 
 from rankstability import (
     GF,
@@ -14,12 +15,13 @@ from rankstability import (
     XorShift64Star,
     build_sl,
     exact_defect,
+    field_from_tag,
     phi_eval,
     preset_tau,
 )
 from rankstability.exactfield import DenseMatrix
 from rankstability.rolli import TauFamily
-from rankstability.verma import VermaModule
+from rankstability.verma import VermaModule, build_truncation, parse_weight
 
 import pytest
 
@@ -227,3 +229,27 @@ def test_casimir_commutes_on_random_deeper_vectors():
         vec = {mono: QQ.one}
         for gen in range(alg.dim):
             assert mod.act_vector(gen, act_omega(vec)) == act_omega(mod.act_vector(gen, vec))
+
+
+# ---------------------------------------------------------------------------
+# truncation defects at sizes the minor oracle cannot reach
+
+
+@pytest.mark.parametrize("r, weight, tag, n, defect", [
+    (2, "1/2", "rational", 128, "1/129"),
+    (2, "1/2", "rational", 256, "1/257"),
+    (3, "1/2,1/3", "rational", 9, "55/220"),
+    (3, "1/2,1/3", "rational", 12, "91/455"),
+    (3, "1/5,-2/7", "gf101", 3, "10/20"),
+    (3, "1/5,-2/7", "gf101", 7, "36/120"),
+    (3, "1/5,-2/7", "gf101", 10, "66/286"),
+])
+def test_truncation_defect_counts_top_degree_monomials(r, weight, tag, n, defect):
+    # An observed formula, not a theorem, pinned for these weights only (the
+    # integral sl3 weight (1, 2) reads 2/5 at n = 3): defect * dim is the count
+    # C(n+m-1, m-1) of degree-n monomials in the m negative root vectors.
+    alg, field = build_sl(r), field_from_tag(tag)
+    rep = build_truncation(alg, parse_weight(field, weight), n, field)
+    got = rep.meta["pointwise_defect"]
+    assert str(got) == defect
+    assert got.value * rep.dim == comb(n + alg.m - 1, alg.m - 1)

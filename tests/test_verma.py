@@ -393,6 +393,16 @@ def test_rep_distance_integral_weight_inconclusive():
     assert cert.kernel_dim > 0
 
 
+def test_rep_distance_unknown_summands_inconclusive():
+    # irreducible_sl2 records no partition, so a shared character cannot be
+    # traced to a summand: L(2) is the quotient of the weight-2 Verma module
+    rep = build_truncation(SL2, (2,), 2)
+    cert = rep_distance_certificate(rep, irreducible_sl2(2))
+    assert cert.verdict == "inconclusive (unknown summands share the character)"
+    assert cert.kernel_dim == 3
+    assert cert.flexible_bound is None and cert.basis_max_distance is None
+
+
 def test_rep_distance_dimension_window():
     rep = build_truncation(SL2, HALF, 8)
     with pytest.raises(ValueError):
