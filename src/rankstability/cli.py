@@ -228,12 +228,7 @@ def _cmd_rolli_defect(args):
     field = field_from_tag(args.field)
     tau = preset_tau(args.preset, args.n, field)
     result = exact_defect(tau)
-    report = {
-        "defect": result.defect.to_json(),
-        "bound": str(result.bound),
-        "witness_pair": list(result.witness_pair),
-        "pass": result.defect.value <= result.bound,
-    }
+    report = {**result.to_json(), "pass": result.defect.value <= result.bound}
     rows = [[args.preset, args.n, str(result.defect.value), str(result.bound), report["pass"]]]
     return report, ["preset", "n", "defect", "bound", "pass"], rows
 
@@ -528,6 +523,8 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report, header, rows = _run(args)
+        report["timing"] = {"seconds": round(time.perf_counter() - start, 6)}
+        _emit(report, header, rows, args.out)
     except BoundViolation as exc:
         print(f"BOUND VIOLATION: {exc}", file=sys.stderr)
         for key, value in exc.details.items():
@@ -537,8 +534,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report["timing"] = {"seconds": round(time.perf_counter() - start, 6)}
-    _emit(report, header, rows, args.out)
     return 0 if report.get("pass", True) else 3
 
 

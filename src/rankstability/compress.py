@@ -58,8 +58,7 @@ class CompressionFrame:
             )
         if self.proj * self.iota != DenseMatrix.identity(self.iota.field, k):
             raise ValueError("proj * iota is not the identity")
-        if self.iota.rank() != k:
-            raise ValueError("inclusion does not have full column rank")
+        # no rank check: proj * iota = I_k already forces rank(iota) = k
 
     @property
     def ambient_dim(self) -> int:
@@ -96,7 +95,7 @@ def random_frame(field, n: int, k: int, rng: XorShift64Star) -> CompressionFrame
     while True:
         iota = random_matrix(field, rng, n, k)
         if iota.rank() == k:
-            full = hstack([iota, random_matrix(field, rng, n, n - k)]) if n > k else iota
+            full = hstack([iota, random_matrix(field, rng, n, n - k)])
             with contextlib.suppress(SingularMatrixError):  # redraw both
                 inv = full.inverse()
                 break
@@ -163,22 +162,6 @@ class AlignmentReport:
     to_json = report_json
 
 
-def _complete_to_invertible(partial: DenseMatrix) -> DenseMatrix:
-    """Extend independent columns to a basis using standard basis vectors."""
-    k = partial.rows
-    basis, rank = partial, partial.rank()
-    for j in range(k):
-        if rank == k:
-            break
-        trial = hstack([basis, DenseMatrix.elementary(partial.field, k, 1, j, 0)])
-        r = trial.rank()
-        if r > rank:
-            basis, rank = trial, r
-    if rank != k:
-        raise ValueError("could not complete columns to a basis")
-    return basis
-
-
 def align_compressions(frame1: CompressionFrame, frame2: CompressionFrame, matrices):
     """Change of basis A making two equal-dimension compressions agree up to rank 4(n-k).
 
@@ -195,16 +178,15 @@ def align_compressions(frame1: CompressionFrame, frame2: CompressionFrame, matri
     k = frame1.subspace_dim
     if frame2.ambient_dim != n or frame2.subspace_dim != k:
         raise DimensionMismatch("frames must share ambient and subspace dimensions")
-    field = frame1.field
+    ident = DenseMatrix.identity(frame1.field, k)
 
     stacked = hstack([frame1.iota, -frame2.iota])
     ker = stacked.kernel_basis()  # 2k x w
     w = ker.cols
-    u_coords = ker.submatrix(range(k), range(w)) if w else None
-    v_coords = ker.submatrix(range(k, 2 * k), range(w)) if w else None
-
-    c1 = _complete_to_invertible(u_coords) if w else DenseMatrix.identity(field, k)
-    c2 = _complete_to_invertible(v_coords) if w else DenseMatrix.identity(field, k)
+    # Both halves of the kernel have independent columns (iota1, iota2 are
+    # injective); the RREF pivots of [U | I_k] keep U and add each e_j greedily.
+    c1 = hstack([ker.submatrix(range(k), range(w)), ident]).column_space_basis()
+    c2 = hstack([ker.submatrix(range(k, 2 * k), range(w)), ident]).column_space_basis()
     a = c1 * c2.inverse()
     a_inv = a.inverse()
 

@@ -288,14 +288,11 @@ class ExactField:
 
     @functools.cached_property
     def zero(self):
-        return self.from_int(0)
+        return self.coerce(0)
 
     @functools.cached_property
     def one(self):
-        return self.from_int(1)
-
-    def from_int(self, k: int):
-        raise NotImplementedError
+        return self.coerce(1)
 
     def coerce(self, x):
         raise NotImplementedError
@@ -342,9 +339,6 @@ class RationalField(ExactField):
     kind = "rational"
     tag = "rational"
     characteristic = 0
-
-    def from_int(self, k: int):
-        return Fraction(k)
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -393,9 +387,6 @@ class GaussianRationalField(ExactField):
     kind = "gaussian"
     tag = "gaussian"
     characteristic = 0
-
-    def from_int(self, k: int):
-        return GaussianRational(k)
 
     def coerce(self, x):
         if isinstance(x, GaussianRational):
@@ -471,9 +462,6 @@ class PrimeField(ExactField):
         self.p = p
         self.tag = f"gf{p}"
         self.characteristic = p
-
-    def from_int(self, k: int):
-        return FpElement(self.p, k)
 
     def coerce(self, x):
         if isinstance(x, FpElement) and x.p == self.p:

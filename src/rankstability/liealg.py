@@ -8,8 +8,9 @@ The basis of sl_r is realized concretely by elementary matrices:
 
 ordered y_1..y_m, h_1..h_ell, x_1..x_m with the positive roots sorted by
 (height, leftmost index).  Structure constants come from actual matrix
-commutators re-read off the elementary-matrix coordinates, which eliminates
-sign-convention bookkeeping and works over any field (no trace pairing).
+commutators re-read off the elementary-matrix coordinates, and the root values
+alpha_a(h_t) are read off that table, which eliminates sign-convention
+bookkeeping and works over any field (no trace pairing).
 
 An AlmostRep assigns one square matrix per basis element.  Its pointwise
 defect is the exact maximum, over basis pairs, of the normalized rank of
@@ -94,11 +95,6 @@ class ChevalleyBasis:
             self._index.setdefault("h", 1)
             self._index.setdefault("e", 2)
 
-        # alpha_a(h_t) for the root of x_a / y_a evaluated on the t-th coroot
-        self.root_on_coroot = tuple(
-            tuple(self._root_eval(a, t) for t in range(1, r)) for a in range(self.m)
-        )
-
         self._table: dict[tuple[int, int], dict[int, int]] = {}
         mats = [DenseMatrix(QQ, m) for m in self.matrices]
         for i in range(self.dim):
@@ -108,13 +104,12 @@ class ChevalleyBasis:
                 self._table[(j, i)] = {k: -c for k, c in entry.items()}
             self._table[(i, i)] = {}
 
-    def _root_eval(self, a: int, t: int) -> int:
-        i, j = self.root_pairs[a]
-
-        def delta(u, v):
-            return 1 if u == v else 0
-
-        return (delta(i, t) - delta(i, t + 1)) - (delta(j, t) - delta(j, t + 1))
+        # alpha_a(h_t), read off the bracket [h_t, x_a] = alpha_a(h_t) x_a
+        m, ell = self.m, self.ell
+        self.root_on_coroot = tuple(
+            tuple(self._table[(m + t, m + ell + a)].get(m + ell + a, 0) for t in range(ell))
+            for a in range(m)
+        )
 
     # -- index helpers -------------------------------------------------------
 
@@ -249,7 +244,7 @@ class AlmostRep:
         out = DenseMatrix.zeros(self.field, self.dim, self.dim)
         for i, c in coords.items():
             if c:
-                out = out + self.images[i].scale(self.field.coerce(c))
+                out = out + self.images[i].scale(c)
         return out
 
 
@@ -276,7 +271,7 @@ def pointwise_defect(rep: AlmostRep) -> DefectReport:
             mj = rep.images[j]
             d = mi * mj - mj * mi
             for k, c in alg.bracket_table(i, j).items():
-                d = d - rep.images[k].scale(rep.field.from_int(c))
+                d = d - rep.images[k].scale(c)
             r = d.rank()
             if r > best:
                 best = r

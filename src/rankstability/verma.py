@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import BoundViolation, DimensionMismatch, FieldMismatch
-from .exactfield import QQ, DenseMatrix, ExactField, vstack
+from .exactfield import QQ, DenseMatrix, ExactField
 from .liealg import AlmostRep, ChevalleyBasis, pointwise_defect
 from .prng import XorShift64Star, random_unimodular
 from .rankmetric import RankDistance, flexible_distance, report_json
@@ -76,7 +76,7 @@ class VermaModule:
         for a, ra in enumerate(mono):
             if ra:
                 shift += ra * alg.root_on_coroot[a][t]
-        return self.weight[t] - self.field.from_int(shift)
+        return self.weight[t] - shift
 
     def act(self, gen: int, mono: tuple) -> dict:
         key = (gen, mono)
@@ -117,7 +117,7 @@ class VermaModule:
         inner = self.act(gen, rest)
         out = self.act_vector(first, inner)
         for k, c in self.algebra.bracket_table(gen, first).items():
-            out = _merge(out, self.act(k, rest), self.field.from_int(c))
+            out = _merge(out, self.act(k, rest), c)
         return out
 
     def act_vector(self, gen: int, vec: dict) -> dict:
@@ -286,10 +286,7 @@ def check_highest_weight_structure(rep: AlmostRep) -> StructureReport:
     """
     alg = rep.algebra
     field = rep.field
-    diag = all(
-        img == DenseMatrix.diagonal(field, [img.entry(i, i) for i in range(rep.dim)])
-        for img in (rep.images[t] for t in alg.cartan_indices)
-    )
+    diag = all(i == j for t in alg.cartan_indices for i, j in rep.images[t].nonzeros())
 
     kills = all(
         not any(rep.images[x].column(0)) for x in alg.positive_indices
@@ -389,7 +386,7 @@ def evaluate_uea(rep: AlmostRep, element: UEAElement) -> DenseMatrix:
             prod = rep.images[word[0]]
             for g in word[1:]:
                 prod = prod * rep.images[g]
-        out = out + prod.scale(rep.field.coerce(coeff))
+        out = out + prod.scale(coeff)
     return out
 
 
@@ -429,9 +426,7 @@ def check_near_scalar(rep: AlmostRep, element: UEAElement, character=None) -> Ne
     if character is None:
         character = central_character_value(alg, element, rep.meta["weight"], rep.field)
     deg = element.degree
-    dev = evaluate_uea(rep, element) - DenseMatrix.identity(rep.field, rep.dim).scale(
-        rep.field.coerce(character)
-    )
+    dev = evaluate_uea(rep, element) - DenseMatrix.identity(rep.field, rep.dim).scale(character)
     rd = RankDistance(dev.rank(), rep.dim)
     bound = (deg + 1) * eps
     if rd.value > bound:
@@ -551,40 +546,29 @@ def rep_distance_certificate(rep: AlmostRep, psi: AlmostRep) -> RepDistanceRepor
             f"target dimension {N} outside the flexible window [{k}, (1+eps*dim g)*{k}]"
         )
 
-    gens = [casimir(alg, field)]
-    chars = tuple(
-        central_character_value(alg, z, rep.meta["weight"], field) for z in gens
-    )
-    deg = max(z.degree for z in gens)
+    omega = casimir(alg, field)
+    chi = central_character_value(alg, omega, rep.meta["weight"], field)
+    deg = omega.degree
 
     partition = psi.meta.get("partition")
     inconclusive = False
     if partition is not None and alg.r == 2:
-        omega = gens[0]
         for d in set(partition):
-            chi_d = central_character_value(
-                alg, omega, (field.from_int(d),), field
-            )
-            if chi_d == chars[0]:
+            chi_d = central_character_value(alg, omega, (d,), field)
+            if chi_d == chi:
                 inconclusive = True
                 break
 
-    ident = DenseMatrix.identity(field, N)
-    stacked = vstack(
-        [
-            evaluate_uea(psi, z) - ident.scale(field.coerce(chi))
-            for z, chi in zip(gens, chars)
-        ]
-    )
-    kernel_dim = stacked.kernel_basis().cols
+    shifted = evaluate_uea(psi, omega) - DenseMatrix.identity(field, N).scale(chi)
+    kernel_dim = shifted.kernel_basis().cols
 
     if inconclusive:
         return RepDistanceReport(
-            "inconclusive (character matches a summand)", kernel_dim, None, None, chars
+            "inconclusive (character matches a summand)", kernel_dim, None, None, (chi,)
         )
     if partition is None and kernel_dim > 0:
         return RepDistanceReport(
-            "inconclusive (unknown summands share the character)", kernel_dim, None, None, chars
+            "inconclusive (unknown summands share the character)", kernel_dim, None, None, (chi,)
         )
     if kernel_dim != 0:
         raise BoundViolation(
@@ -598,7 +582,7 @@ def rep_distance_certificate(rep: AlmostRep, psi: AlmostRep) -> RepDistanceRepor
     )
     if bound <= 0:
         return RepDistanceReport(
-            "bound vacuous at this n; increase n", kernel_dim, bound, None, chars
+            "bound vacuous at this n; increase n", kernel_dim, bound, None, (chi,)
         )
     dists = [
         flexible_distance(rep.images[i], psi.images[i]) for i in range(alg.dim)
@@ -609,7 +593,7 @@ def rep_distance_certificate(rep: AlmostRep, psi: AlmostRep) -> RepDistanceRepor
             f"basis distance {basis_max} times dim(g) fell below the certified bound {bound}",
             details={"n": n, "N": N},
         )
-    return RepDistanceReport("certified", kernel_dim, bound, basis_max, chars)
+    return RepDistanceReport("certified", kernel_dim, bound, basis_max, (chi,))
 
 
 # ---------------------------------------------------------------------------
@@ -671,5 +655,5 @@ def sl2_lowest_weight_intertwiner(d: int, field: ExactField = QQ) -> DenseMatrix
     n = d + 1
     coeffs = [field.one]
     for k in range(d):
-        coeffs.append(coeffs[-1] * field.from_int(-(d - k) * (k + 1)))
+        coeffs.append(coeffs[-1] * (-(d - k) * (k + 1)))
     return DenseMatrix.from_entries(field, n, n, {(d - k, k): c for k, c in enumerate(coeffs)})

@@ -135,6 +135,16 @@ def test_out_prefix_writes_files(tmp_path, capsys):
     assert csv_text.splitlines()[0] == "n,dim,defect,bound,pass"
 
 
+def test_unwritable_out_prefix_is_usage_error(tmp_path, capsys):
+    prefix = str(tmp_path / "missing" / "report")
+    code, out, err = run_cli(
+        capsys, "--out", prefix, "verma", "defect", "--lambda", "1/2", "--n", "4"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["verma", "defect", "--lambda", "1/2", "--n", "4,8"],
     ["verma", "casimir", "--algebra", "sl3", "--lambda", "1/2,1/3"],

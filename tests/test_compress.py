@@ -148,6 +148,34 @@ def test_mult_defect_permutation_corner():
     assert rep.lhs <= n - k
 
 
+def greedy_completion(partial):
+    """Extend independent columns to a basis by standard basis vectors, one rank test each."""
+    k = partial.rows
+    basis, rank = partial, partial.rank()
+    for j in range(k):
+        if rank == k:
+            break
+        trial = hstack([basis, DenseMatrix.elementary(partial.field, k, 1, j, 0)])
+        r = trial.rank()
+        if r > rank:
+            basis, rank = trial, r
+    assert rank == k
+    return basis
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(7), QQ, QQI])
+def test_column_space_completion_matches_greedy(field):
+    rng = XorShift64Star(12)
+    for k in (1, 3, 5):
+        ident = DenseMatrix.identity(field, k)
+        for w in range(k + 1):
+            for _ in range(3):
+                u = random_matrix(field, rng, k, w)
+                while u.rank() != w:
+                    u = random_matrix(field, rng, k, w)
+                assert hstack([u, ident]).column_space_basis() == greedy_completion(u)
+
+
 def test_align_equal_frames_gives_identity():
     rng = XorShift64Star(8)
     frame = random_frame(QQ, 5, 3, rng)

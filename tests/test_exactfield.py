@@ -422,7 +422,7 @@ def reference_product(a, b):
 def test_kernels_match_entrywise_reference(case):
     field, a, b, c, sq = case
     rows_a, rows_b = a.row_lists(), b.row_lists()
-    two = field.from_int(2)
+    two = field.coerce(2)
     assert (a + b).row_lists() == [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(rows_a, rows_b)]
     assert (a - b).row_lists() == [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(rows_a, rows_b)]
     assert (-a).row_lists() == [[-x for x in ra] for ra in rows_a]

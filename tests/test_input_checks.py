@@ -87,6 +87,9 @@ CHECKS = [
     ("frame with k = 0", lambda: CompressionFrame(zeros(3, 0), zeros(0, 3)), ValueError, "k = 0"),
     ("frame projection shape", lambda: CompressionFrame(zeros(3, 2), zeros(3, 3)),
      DimensionMismatch, "does not match inclusion"),
+    ("frame with rank-deficient inclusion",
+     lambda: CompressionFrame(DenseMatrix(QQ, [[1, 1], [0, 0], [0, 0]]), DenseMatrix(QQ, [[1, 0, 0], [0, 1, 0]])),
+     ValueError, "proj * iota is not the identity"),
     ("random_frame k > n", lambda: random_frame(QQ, 3, 4, XorShift64Star(1)), ValueError, "need 1 <= k <= n"),
     ("compress ambient dimension", lambda: compress(eye(4), corner_frame(QQ, 3, 2)),
      DimensionMismatch, "does not fit ambient dimension"),

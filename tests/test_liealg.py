@@ -69,6 +69,21 @@ def test_sl3_cartan_matrix():
     assert cartan == [[2, -1], [-1, 2]]
 
 
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_root_values_match_closed_form(r):
+    # alpha_a(h_t) for the root e_i - e_j on the coroot E_tt - E_{t+1,t+1}
+    alg = build_sl(r)
+
+    def delta(u, v):
+        return 1 if u == v else 0
+
+    expected = tuple(
+        tuple((delta(i, t) - delta(i, t + 1)) - (delta(j, t) - delta(j, t + 1)) for t in range(1, r))
+        for i, j in alg.root_pairs
+    )
+    assert alg.root_on_coroot == expected
+
+
 def test_linear_independence_of_basis():
     for r in (2, 3):
         alg = build_sl(r)
