@@ -3,9 +3,9 @@
 Every run echoes its full configuration into the output, prints all exact
 values as rational strings, and is deterministic given (config, seed); only
 the content of the "timing" key varies between identical runs.  Exit codes:
-0 all certificates pass, 2 usage error, 3 a certificate did not pass or a
-certified bound was violated (the latter with a diagnostic dump, since it
-indicates a bug).
+0 all certificates pass, 1 stdout closed early, 2 usage error, 3 a certificate
+did not pass or a certified bound was violated (the latter with a diagnostic
+dump, since it indicates a bug).
 
 A command handler returns only its report's body, with an optional CSV table;
 `_run` puts it in the envelope every report shares.  The envelope adds
@@ -27,6 +27,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 import time
 
@@ -251,9 +252,9 @@ def _cmd_rolli_certify(args):
     field = field_from_tag(args.field)
     tau = preset_tau(args.preset, args.n, field)
     reports = certificate_battery(tau, args.seed, conjugates=args.conjugates)
-    cases = [
-        {"family": name, **r.to_json(), "pass": r.passed} for name, r in reports
-    ]
+    # c > 1/n, so that the distance chain's bound (c - 1/n)/6 is positive
+    cases = [{"family": name, **r.to_json(), "pass": r.passed and r.final_bound > 0}
+             for name, r in reports]
     rows = [[c["family"], c["eps_lower"], c["final_bound"], c["witness_value"], c["pass"]]
             for c in cases]
     return {"cases": cases}, ["family", "eps_lower", "bound", "witness_value", "pass"], rows
@@ -525,12 +526,17 @@ def main(argv=None) -> int:
         report, header, rows = _run(args)
         report["timing"] = {"seconds": round(time.perf_counter() - start, 6)}
         _emit(report, header, rows, args.out)
+        sys.stdout.flush()
     except BoundViolation as exc:
         print(f"BOUND VIOLATION: {exc}", file=sys.stderr)
         for key, value in exc.details.items():
             print(f"--- {key} ---", file=sys.stderr)
             print(value, file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull, so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

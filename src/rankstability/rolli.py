@@ -29,7 +29,7 @@ from fractions import Fraction
 from .errors import BoundViolation, DimensionMismatch, FieldMismatch
 from .exactfield import QQ, DenseMatrix, ExactField, vstack
 from .prng import XorShift64Star, random_unimodular
-from .rankmetric import RankDistance, flexible_distance, report_json
+from .rankmetric import RankDistance, map_distance, report_json
 
 __all__ = [
     "ReducedWord",
@@ -540,10 +540,7 @@ def rep_distance_certificate(tau: TauFamily, psi: FreeGroupRep) -> ChainReport:
     psi_b = psi.image_b()
     psi_w = psi.eval(w)
 
-    d_a = flexible_distance(phi_a, psi_a)
-    d_b = flexible_distance(phi_b, psi_b)
-    d_w = flexible_distance(phi_w, psi_w)
-    eps = max(d_a.value, d_b.value, d_w.value)
+    eps = map_distance([phi_a, phi_b, phi_w], [psi_a, psi_b, psi_w], "flexible").pointwise.value
     delta = Fraction(1, n)
 
     ident_big = DenseMatrix.identity(field, N)

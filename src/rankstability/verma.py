@@ -24,7 +24,7 @@ from .errors import BoundViolation, DimensionMismatch, FieldMismatch
 from .exactfield import QQ, DenseMatrix, ExactField
 from .liealg import AlmostRep, ChevalleyBasis, pointwise_defect
 from .prng import XorShift64Star, random_unimodular
-from .rankmetric import RankDistance, flexible_distance, report_json
+from .rankmetric import RankDistance, map_distance, report_json
 
 __all__ = [
     "VermaModule",
@@ -239,39 +239,28 @@ class StructureReport:
         return {**report_json(self), "pass": self.passed}
 
 
-def _matvec(mat: DenseMatrix, vec: list) -> list:
-    out = [mat.field.zero] * mat.rows
-    for j, vj in enumerate(vec):
-        if vj:
-            for i in range(mat.rows):
-                a = mat.entry(i, j)
-                if a:
-                    out[i] = out[i] + a * vj
-    return out
-
-
 class _Span:
-    """Incremental row span with echelon reduction, for spanning checks."""
+    """Incremental span of vectors, kept as echelon rows, for spanning checks.
 
-    def __init__(self, width: int, field: ExactField):
-        self.width = width
+    Vectors are {index: coefficient} dicts of nonzeros only, as `_merge`
+    leaves them; insert() reads its argument and does not change it.
+    """
+
+    def __init__(self, field: ExactField):
         self.field = field
-        self.rows: list = []  # (pivot index, its normalized row's nonzero (index, value) pairs)
+        self.rows: list = []  # (pivot index, its normalized row), sorted by pivot
 
-    def insert(self, vec: list) -> bool:
-        v = list(vec)
+    def insert(self, vec: dict) -> bool:
         for pivot, row in self.rows:
-            c = v[pivot]
-            if c:
-                for k, b in row:
-                    v[k] = v[k] - c * b
-        for i, a in enumerate(v):
-            if a:
-                inv = self.field.one / a
-                self.rows.append((i, [(k, inv * v[k]) for k in range(i, len(v)) if v[k]]))
-                self.rows.sort(key=lambda t: t[0])
-                return True
-        return False
+            if pivot in vec:
+                vec = _merge(vec, row, -vec[pivot])
+        if not vec:
+            return False
+        pivot = min(vec)
+        inv = self.field.one / vec[pivot]
+        self.rows.append((pivot, {k: inv * a for k, a in vec.items()}))
+        self.rows.sort(key=lambda t: t[0])
+        return True
 
     @property
     def dim(self) -> int:
@@ -285,22 +274,28 @@ def check_highest_weight_structure(rep: AlmostRep) -> StructureReport:
     negative generators until it stabilizes and compares with the full space.
     """
     alg = rep.algebra
-    field = rep.field
     diag = all(i == j for t in alg.cartan_indices for i, j in rep.images[t].nonzeros())
+    kills = all(j != 0 for x in alg.positive_indices for _, j in rep.images[x].nonzeros())
 
-    kills = all(
-        not any(rep.images[x].column(0)) for x in alg.positive_indices
-    )
+    columns = []  # per negative generator, {j: {i: entry}} over its nonzeros
+    for y in alg.negative_indices:
+        cols: dict = {}
+        for (i, j), a in rep.images[y].nonzeros().items():
+            cols.setdefault(j, {})[i] = a
+        columns.append(cols)
 
-    span = _Span(rep.dim, field)
-    v0 = [field.one] + [field.zero] * (rep.dim - 1)
+    span = _Span(rep.field)
+    v0 = {0: rep.field.one}
     span.insert(v0)
     queue = [v0]
     while queue:
         vec = queue.pop()
-        for y in alg.negative_indices:
-            w = _matvec(rep.images[y], vec)
-            if any(w) and span.insert(w):
+        for cols in columns:
+            w: dict = {}
+            for j, c in vec.items():
+                if j in cols:
+                    w = _merge(w, cols[j], c)
+            if w and span.insert(w):
                 queue.append(w)
     return StructureReport(diag, kills, span.dim, rep.dim)
 
@@ -584,10 +579,7 @@ def rep_distance_certificate(rep: AlmostRep, psi: AlmostRep) -> RepDistanceRepor
         return RepDistanceReport(
             "bound vacuous at this n; increase n", kernel_dim, bound, None, (chi,)
         )
-    dists = [
-        flexible_distance(rep.images[i], psi.images[i]) for i in range(alg.dim)
-    ]
-    basis_max = max(dists, key=lambda d: d.value)
+    basis_max = map_distance(rep, psi, "flexible").pointwise
     if basis_max.value * alg.dim < bound:
         raise BoundViolation(
             f"basis distance {basis_max} times dim(g) fell below the certified bound {bound}",
@@ -626,19 +618,11 @@ def weyl_twist_scan(rep: AlmostRep, trials: int, seed: int) -> dict:
     """
     twisted = weyl_twist(rep)
     rng = XorShift64Star(seed)
-    samples = []
-
-    def basis_max(a: AlmostRep, b_images) -> Fraction:
-        return max(
-            flexible_distance(a.images[i], b_images[i]).value
-            for i in range(a.algebra.dim)
-        )
-
-    samples.append(("identity", basis_max(rep, twisted.images)))
+    samples = [("identity", map_distance(rep, twisted, "flexible").pointwise.value)]
     for t in range(trials):
         conj, inv = random_unimodular(rep.field, rng, rep.dim)
         images = tuple(conj * img * inv for img in twisted.images)
-        samples.append((f"conjugate_{t}", basis_max(rep, images)))
+        samples.append((f"conjugate_{t}", map_distance(rep, images, "flexible").pointwise.value))
     best = min(v for _, v in samples)
     return {
         "samples": [(name, str(v)) for name, v in samples],

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -145,6 +149,22 @@ def test_unwritable_out_prefix_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_closed_stdout_exits_quietly():
+    # about 150 KB of JSON lines, more than a pipe holds, so writing outlives the reader
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with subprocess.Popen(
+        [sys.executable, "-m", "rankstability.cli", "compress", "check", "--n", "2", "--k", "1",
+         "--trials", "200", "--field", "gf2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 @pytest.mark.parametrize("argv", [
     ["verma", "defect", "--lambda", "1/2", "--n", "4,8"],
     ["verma", "casimir", "--algebra", "sl3", "--lambda", "1/2,1/3"],
@@ -217,6 +237,22 @@ def test_witness_passes_only_above_one_over_n(capsys, options, code, value):
     assert got == code
     assert report["witness_value"] == value
     assert report["pass"] is (code == 0)
+
+
+@pytest.mark.parametrize("preset, n, code", [
+    ("transvection", 2, 3),
+    ("transvection", 3, 0),
+    ("diag_involution", 1, 3),
+    ("diag_involution", 2, 0),
+])
+def test_certify_passes_only_above_one_over_n(capsys, preset, n, code):
+    # at c = 1/n the chain's bound (c - 1/n)/6 is 0, and a vacuous bound certifies nothing
+    got, out, _ = run_cli(capsys, "rolli", "certify", "--preset", preset, "--n", str(n))
+    report = strip_timing(out)
+    assert got == code
+    assert report["pass"] is (code == 0)
+    assert all(c["pass"] is (Fraction(c["final_bound"]) > 0) for c in report["cases"])
+    assert all(c["pass"] is (code == 0) for c in report["cases"])
 
 
 def test_weyl_scan_reports_no_verdict(capsys):

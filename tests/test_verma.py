@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from rankstability import (
     GF,
+    QQI,
     AlmostRep,
     DenseMatrix,
     QQ,
     UEAElement,
     VermaModule,
+    adjoint_rep,
     build_sl,
     build_truncation,
     casimir,
@@ -26,7 +28,8 @@ from rankstability import (
     separation_certificate,
     weyl_twist,
 )
-from rankstability.prng import XorShift64Star
+from rankstability.exactfield import hstack
+from rankstability.prng import XorShift64Star, random_unimodular
 from rankstability.rankmetric import strict_distance
 from rankstability.verma import (
     _Span,
@@ -178,6 +181,53 @@ def test_structure_check_failures():
     off = DenseMatrix.elementary(QQ, rep.dim, rep.dim, 1, 0)
     report = check_highest_weight_structure(AlmostRep(SL2, QQ, rep.dim, (y, h, x + off)))
     assert report.cartan_diagonal and not report.annihilates_highest and not report.passed
+
+
+def _krylov_dim(rep):
+    """Dimension of the smallest subspace holding e_0 that every negative generator maps into itself."""
+    ys = [rep.images[y] for y in rep.algebra.negative_indices]
+    span = DenseMatrix.from_entries(rep.field, rep.dim, 1, {(0, 0): rep.field.one})
+    while True:
+        grown = hstack([span] + [y * span for y in ys]).column_space_basis()
+        if grown.cols == span.cols:
+            return span.cols
+        span = grown
+
+
+def _conjugate(rep, seed):
+    conj, inv = random_unimodular(rep.field, XorShift64Star(seed), rep.dim)
+    return AlmostRep(rep.algebra, rep.field, rep.dim, tuple(conj * img * inv for img in rep.images))
+
+
+@pytest.mark.parametrize("field", [QQ, QQI, GF(7)], ids=["Q", "Q(i)", "GF(7)"])
+def test_structure_check_matches_krylov_oracle(field):
+    """generated_dim is the Krylov dimension of e_0, and the highest vector is killed
+    exactly when column 0 of every positive image is zero."""
+    sl2 = build_truncation(SL2, HALF, 5, field)
+    sl3 = build_truncation(SL3, (Fraction(1, 2), Fraction(1, 3)), 3, field)
+    reps = [
+        sl2,
+        build_truncation(SL2, (Fraction(0),), 3, field),
+        build_truncation(SL3, (Fraction(1), Fraction(2)), 2, field),
+        sl3,
+        weyl_twist(sl2),
+        weyl_twist(irreducible_sl2(3, field)),
+        _conjugate(sl2, 1),
+        _conjugate(sl3, 2),
+        _conjugate(weyl_twist(sl2), 3),
+        direct_sum_rep([2, 1], field),
+        adjoint_rep(build_sl(2), field),
+        adjoint_rep(SL3, field),
+    ]
+    proper = 0
+    for rep in reps:
+        report = check_highest_weight_structure(rep)
+        assert report.generated_dim == _krylov_dim(rep)
+        assert report.annihilates_highest == all(
+            not any(rep.images[x].column(0)) for x in rep.algebra.positive_indices
+        )
+        proper += report.generated_dim < rep.dim
+    assert proper >= 4
 
 
 def test_defect_bound_certified_on_build():
@@ -453,7 +503,10 @@ def test_parse_weight():
     min_size=1, max_size=8)))
 def test_span_dimension_is_rank(field, vectors):
     """After each insert the span's dimension is the rank of the vectors so far."""
-    span = _Span(len(vectors[0]), field)
+    span = _Span(field)
     for k, vec in enumerate(vectors):
-        span.insert([field.coerce(x) for x in vec])
+        coeffs = [field.coerce(x) for x in vec]
+        sparse = {i: a for i, a in enumerate(coeffs) if a}
+        span.insert(sparse)
+        assert sparse == {i: a for i, a in enumerate(coeffs) if a}
         assert span.dim == DenseMatrix(field, vectors[: k + 1]).rank()
