@@ -229,7 +229,8 @@ def _cmd_rolli_defect(args):
     field = field_from_tag(args.field)
     tau = preset_tau(args.preset, args.n, field)
     result = exact_defect(tau)
-    report = {**result.to_json(), "pass": result.defect.value <= result.bound}
+    # a normalized rank is at most 1, so a bound of 1 or more cannot fail
+    report = {**result.to_json(), "pass": result.defect.value <= result.bound < 1}
     rows = [[args.preset, args.n, str(result.defect.value), str(result.bound), report["pass"]]]
     return report, ["preset", "n", "defect", "bound", "pass"], rows
 

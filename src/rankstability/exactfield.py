@@ -12,15 +12,16 @@ row.  Over GF(p) a value is its residue in [1, p), and every denominator is
 1; over Q a value is an int numerator; over Q(i) it is a pair (re, im) of int
 numerators.  A row is canonical (its denominator and numerators have gcd 1),
 so equal matrices store equal rows.  Every kernel runs on these ints.  Sums
-merge rows over the lcm of their denominators, and products run row by row
-(Gustavson) with the right factor over one common denominator.  Rank and
-Gauss-Jordan feed the numerators straight into a modular or a fraction-free
-(Bareiss) elimination, which keeps intermediate entries as minors of the
-input.  Q(i) runs the Q kernels on the real form, which sends a + bi to the
-block [[a, -b], [b, a]]: a ring map that doubles the rank.  Rank runs the
-forward half of each elimination, and Gauss-Jordan (behind ``rref``,
-``inverse``, ``kernel_basis``, ``column_space_basis`` and ``solve_right``)
-the reduced form.
+merge rows over the lcm of their denominators.  Products, and sums of them
+(``product_sum``), run row by row (Gustavson) in one accumulator per row,
+each right factor over one common denominator.  Rank and Gauss-Jordan feed
+the numerators straight into a modular or a fraction-free (Bareiss)
+elimination, which keeps intermediate entries as minors of the input.  Q(i)
+runs the Q kernels on the real form, which sends a + bi to the block
+[[a, -b], [b, a]]: a ring map that doubles the rank.  Rank runs the forward
+half of each elimination, and Gauss-Jordan (behind ``rref``, ``inverse``,
+``kernel_basis``, ``column_space_basis`` and ``solve_right``) the reduced
+form.
 
 Field elements are made only at the boundary.  ``entry``, ``row``,
 ``column``, ``row_lists``, ``nonzeros`` and ``to_text`` box what they return.
@@ -35,7 +36,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from itertools import accumulate, compress
+from itertools import accumulate
 from fractions import Fraction
 
 from .errors import (
@@ -60,6 +61,7 @@ __all__ = [
     "modular_rank_certificate",
     "hstack",
     "vstack",
+    "product_sum",
 ]
 
 
@@ -689,7 +691,7 @@ class DenseMatrix:
             self._check_same(other)
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.shape} * {other.shape}")
-            pairs = _product(self.field, self._data, self._den, other._data, other._den, other.cols)
+            pairs = _product(self.field, [(self._data, self._den, other._data, other._den)], other.cols)
             return self._from_rows(self.field, pairs, other.cols)
         return self.scale(other)
 
@@ -828,9 +830,13 @@ class DenseMatrix:
 
     def to_text(self) -> str:
         f = self.field
+        zero, box = f.format_scalar(f.zero), f._box
         lines = [f"{self.rows} {self.cols} {f.tag}"]
-        for row in self.row_lists():
-            lines.append(" ".join(f.format_scalar(a) for a in row))
+        for row, den in zip(self._data, self._den):
+            line = [zero] * self.cols
+            for j, a in row:
+                line[j] = f.format_scalar(box(a, den))
+            lines.append(" ".join(line))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -871,6 +877,20 @@ def hstack(mats) -> DenseMatrix:
         if m.field != field:
             raise FieldMismatch("hstack over mixed fields")
     return DenseMatrix._from_rows(field, _hstack_rows(mats), sum(m.cols for m in mats))
+
+
+def product_sum(pairs) -> DenseMatrix:
+    """A_1 B_1 + ... + A_t B_t for (A_t, B_t) pairs with one product shape, each
+    result row built in one accumulator: no product or partial sum is made."""
+    pairs = list(pairs)
+    a0, b0 = pairs[0]
+    for a, b in pairs:
+        a0._check_same(a)
+        a0._check_same(b)
+        if a.cols != b.rows or (a.rows, b.cols) != (a0.rows, b0.cols):
+            raise DimensionMismatch(f"{a.shape} * {b.shape} in a sum of {a0.rows}x{b0.cols} products")
+    terms = [(a._data, a._den, b._data, b._den) for a, b in pairs]
+    return DenseMatrix._from_rows(a0.field, _product(a0.field, terms, b0.cols), b0.cols)
 
 
 def vstack(mats) -> DenseMatrix:
@@ -966,31 +986,49 @@ def _complex_row(row) -> list:
     return [(j, (a, -b)) for j, (a, b) in parts.items()]
 
 
-def _product(field, arows, adens, brows, bdens, ncols: int) -> list:
-    """The (row, den) pairs of A * B: each pair (k, a) of a row of A adds
-    a * (row k of B) into a dense int accumulator.
-
-    GF(p) reduces the accumulator mod p.  Q puts B over one common
-    denominator, so row i of the result is the accumulator over that times
-    A's row denominator.  Q(i) reads the rows 2i of the Q product of the
-    real forms.
+def _product(field, terms, ncols: int) -> list:
+    """The (row, den) pairs of A_1 B_1 + ... + A_t B_t for terms (A rows, A dens,
+    B rows, B dens), row by row (Gustavson): each (k, a) of row i of an A adds
+    a * (row k of its B) into one int accumulator.  It is a dense list when an
+    average row does at least ncols / 4 such flops, and a {column: int} dict
+    (Gilbert-Moler-Schreiber's sparse accumulator) otherwise.  Each B goes over
+    one common denominator d_B, and row i over the lcm of the A den[i] * d_B.
+    GF(p) reduces mod p; Q(i) runs Q on the real forms.
     """
     if field.kind == "gaussian":
-        pairs = _product(QQ, _real_form(arows, False), adens, _real_form(brows),
-                         [d for d in bdens for _ in (0, 1)], 2 * ncols)
-        return [(_complex_row(row), den) for row, den in pairs]
-    p = field.characteristic
-    den_b = math.lcm(*bdens)
-    bints = [row if d == den_b else [(j, b * (den_b // d)) for j, b in row] for row, d in zip(brows, bdens)]
-    out = []
-    for arow, den in zip(arows, adens):
-        acc = [0] * ncols
-        for k, a in arow:
-            for j, b in bints[k]:
-                acc[j] += a * b
-        if p:
-            acc = [v % p for v in acc]
-        out.append(QQ._canon([(j, acc[j]) for j in compress(range(ncols), acc)], den * den_b))
+        real = [(_real_form(ar, False), ad, _real_form(br), [d for d in bd for _ in (0, 1)])
+                for ar, ad, br, bd in terms]
+        return [(_complex_row(row), den) for row, den in _product(QQ, real, 2 * ncols)]
+    parts, dens, flops = [], [], 0  # flops: a per-term estimate, nnz(A) * nnz(B) / rows(B)
+    for arows, adens, brows, bdens in terms:
+        den_b = math.lcm(*bdens)
+        parts.append((arows, [row if d == den_b else [(j, b * (den_b // d)) for j, b in row]
+                              for row, d in zip(brows, bdens)]))
+        dens.append(adens if den_b == 1 else [d * den_b for d in adens])
+        flops += sum(map(len, arows)) * sum(map(len, brows)) // (len(brows) or 1)
+    rdens = dens[0] if len(terms) == 1 else [math.lcm(*ds) for ds in zip(*dens)]
+    if len(terms) > 1:  # each A row over its result row's denominator
+        parts = [([row if d == den else [(k, a * (den // d)) for k, a in row]
+                   for row, d, den in zip(arows, ds, rdens)], bints) for (arows, bints), ds in zip(parts, dens)]
+    dense, p, out = 4 * flops >= len(rdens) * ncols, field.characteristic, []
+    for i, den in enumerate(rdens):
+        if dense:
+            acc = [0] * ncols
+            for arows, bints in parts:
+                for k, a in arows[i]:
+                    for j, b in bints[k]:
+                        acc[j] += a * b
+            items = enumerate(acc)
+        else:
+            acc = {}
+            get = acc.get
+            for arows, bints in parts:
+                for k, a in arows[i]:
+                    for j, b in bints[k]:
+                        acc[j] = get(j, 0) + a * b
+            items = sorted(acc.items())  # distinct columns: values are never compared
+        row = [(j, r) for j, v in items if (r := v % p)] if p else [(j, v) for j, v in items if v]
+        out.append((row, 1) if den == 1 else QQ._canon(row, den))
     return out
 
 

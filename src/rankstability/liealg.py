@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import DimensionMismatch, FieldMismatch
-from .exactfield import QQ, QQI, DenseMatrix, ExactField, GaussianRational
+from .exactfield import QQ, QQI, DenseMatrix, ExactField, GaussianRational, product_sum
 from .prng import XorShift64Star
 from .rankmetric import RankDistance, report_json
 
@@ -260,19 +260,22 @@ class DefectReport:
     to_json = report_json
 
 
+def _commutator_defect(x, y, neg_y, neg_bracket, ident) -> DenseMatrix:
+    """x y - y x - phi([x, y]), given -y and the images summing to -phi([x, y])."""
+    return product_sum([(x, y), (neg_y, x), *[(m, ident) for m in neg_bracket]])
+
+
 def pointwise_defect(rep: AlmostRep) -> DefectReport:
     """Exact max over basis pairs of rk([phi(z_i), phi(z_j)] - phi([z_i, z_j]))."""
     alg = rep.algebra
+    ident = DenseMatrix.identity(rep.field, rep.dim)
+    negs = [-m for m in rep.images]
     best = 0
     worst = ("", "")
     for i in range(alg.dim):
-        mi = rep.images[i]
         for j in range(i + 1, alg.dim):
-            mj = rep.images[j]
-            d = mi * mj - mj * mi
-            for k, c in alg.bracket_table(i, j).items():
-                d = d - rep.images[k].scale(c)
-            r = d.rank()
+            neg_bracket = [rep.images[k].scale(-c) for k, c in alg.bracket_table(i, j).items()]
+            r = _commutator_defect(rep.images[i], rep.images[j], negs[j], neg_bracket, ident).rank()
             if r > best:
                 best = r
                 worst = (alg.label(i), alg.label(j))
@@ -287,16 +290,16 @@ def sampled_defect(rep: AlmostRep, trials: int, seed: int) -> DefectReport:
     pointwise defect it carries no guarantee relative to the basis maximum.
     """
     alg = rep.algebra
+    ident = DenseMatrix.identity(rep.field, rep.dim)
     rng = XorShift64Star(seed)
     best = 0
     worst = ("sample", "sample")
     for _ in range(trials):
         x = {i: rng.randint(-3, 3) for i in range(alg.dim)}
         y = {i: rng.randint(-3, 3) for i in range(alg.dim)}
-        mx = rep.apply_coords(x)
-        my = rep.apply_coords(y)
-        d = mx * my - my * mx - rep.apply_coords(alg.bracket_coords(x, y))
-        best = max(best, d.rank())
+        mx, my = rep.apply_coords(x), rep.apply_coords(y)
+        neg_bracket = [-rep.apply_coords(alg.bracket_coords(x, y))]
+        best = max(best, _commutator_defect(mx, my, -my, neg_bracket, ident).rank())
     pw = RankDistance(best, rep.dim)
     return DefectReport(pw, Fraction(alg.dim**2) * pw.value, worst, rep.dim)
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import BoundViolation, DimensionMismatch, FieldMismatch
-from .exactfield import QQ, DenseMatrix, ExactField
+from .exactfield import QQ, DenseMatrix, ExactField, product_sum
 from .liealg import AlmostRep, ChevalleyBasis, pointwise_defect
 from .prng import XorShift64Star, random_unimodular
 from .rankmetric import RankDistance, map_distance, report_json
@@ -373,16 +373,14 @@ def reordered_sl2_casimir(field: ExactField = QQ) -> UEAElement:
 
 def evaluate_uea(rep: AlmostRep, element: UEAElement) -> DenseMatrix:
     """Extend the almost-action multiplicatively over each word and sum."""
-    out = DenseMatrix.zeros(rep.field, rep.dim, rep.dim)
-    for word, coeff in element.terms.items():
-        if not word:
-            prod = DenseMatrix.identity(rep.field, rep.dim)
-        else:
-            prod = rep.images[word[0]]
-            for g in word[1:]:
-                prod = prod * rep.images[g]
-        out = out + prod.scale(coeff)
-    return out
+    ident = DenseMatrix.identity(rep.field, rep.dim)
+    terms = []
+    for word, coeff in element.terms.items():  # (coeff * all letters but the last, the last)
+        prefix = rep.images[word[0]] if len(word) > 1 else ident
+        for g in word[1:-1]:
+            prefix = prefix * rep.images[g]
+        terms.append((prefix.scale(coeff), rep.images[word[-1]] if word else ident))
+    return product_sum(terms) if terms else DenseMatrix.zeros(rep.field, rep.dim, rep.dim)
 
 
 def central_character_value(

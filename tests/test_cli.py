@@ -255,6 +255,16 @@ def test_certify_passes_only_above_one_over_n(capsys, preset, n, code):
     assert all(c["pass"] is (code == 0) for c in report["cases"])
 
 
+@pytest.mark.parametrize("n, code", [(3, 3), (4, 0)])
+def test_defect_passes_only_below_one(capsys, n, code):
+    # a normalized rank is at most 1, so the bound 3/n cannot fail for n <= 3
+    got, out, _ = run_cli(capsys, "rolli", "defect", "--preset", "transvection", "--n", str(n))
+    report = strip_timing(out)
+    assert got == code
+    assert report["bound"] == str(Fraction(3, n))
+    assert report["pass"] is (code == 0)
+
+
 def test_weyl_scan_reports_no_verdict(capsys):
     # the twist scan claims nothing, so its report carries no pass key and exits 0
     got, out, _ = run_cli(capsys, "verma", "weyl", "--lambda", "1/2", "--n", "8",

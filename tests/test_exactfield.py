@@ -9,6 +9,8 @@ from rankstability import (
     QQ,
     QQI,
     DenseMatrix,
+    DimensionMismatch,
+    FieldMismatch,
     FpElement,
     GaussianRational,
     PrimeDenominatorError,
@@ -16,7 +18,7 @@ from rankstability import (
     XorShift64Star,
     modular_rank_certificate,
 )
-from rankstability.exactfield import _eliminate_int, field_from_tag, hstack, vstack
+from rankstability.exactfield import _eliminate_int, field_from_tag, hstack, product_sum, vstack
 from rankstability.prng import random_invertible, random_matrix
 
 from conftest import det_laplace, rank_by_minors, token_prefixes
@@ -532,6 +534,99 @@ def test_kernel_results_are_canonical(case):
         results += [sq.inverse(), sq * sq.inverse()]
     for m in results + late_common_factor_cases():
         assert_canonical(m)
+
+
+# ---------------------------------------------------------------------------
+# sums of products and the text format against boxed references
+
+
+@st.composite
+def sparse_matrices(draw, field, rows, cols):
+    """A rows-by-cols matrix with one or two nonzero entries in each row."""
+    entries = {}
+    for i in range(rows):
+        for j in draw(st.lists(st.integers(0, cols - 1), min_size=1, max_size=2, unique=True)):
+            entries[(i, j)] = draw(scalars(field, 4))
+    return DenseMatrix.from_entries(field, rows, cols, entries)
+
+
+@st.composite
+def product_sum_cases(draw):
+    """1 to 3 (A, B) pairs: small matrices of any density (the dense accumulator),
+    or wide ones with one or two nonzeros per row (the sparse one)."""
+    field = draw(st.sampled_from(CANONICAL_FIELDS))
+    wide = draw(st.booleans())
+    make = sparse_matrices if wide else matrices
+    r, c = (draw(st.integers(1, 4)), draw(st.integers(48, 64))) if wide else (draw(st.integers(0, 4)), draw(st.integers(0, 4)))
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(8, 24)) if wide else draw(st.integers(0, 4))
+        pairs.append((draw(make(field, r, k)), draw(make(field, k, c))))
+    return field, pairs
+
+
+@settings(max_examples=120, deadline=None)
+@given(product_sum_cases())
+def test_product_sum_matches_entrywise_reference(case):
+    field, pairs = case
+    got = product_sum(pairs)
+    refs = [reference_product(a, b) for a, b in pairs]
+    assert got.shape == (pairs[0][0].rows, pairs[0][1].cols)
+    assert got.row_lists() == [[sum(xs, field.zero) for xs in zip(*rows)] for rows in zip(*refs)]
+    assert_canonical(got)
+    a, b = pairs[0]
+    assert product_sum([(a, b)]) == a * b
+    rest = product_sum(pairs[1:]) if len(pairs) > 1 else DenseMatrix.zeros(field, *got.shape)
+    assert product_sum([*pairs, (-a, b)]) == rest  # the first term cancels
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), QQI])
+def test_product_sum_rows_over_differing_denominators(field):
+    # row 0 cancels to zero across the terms; row 1 goes over the lcm of dens 2, 3 and 5
+    a1 = DenseMatrix(field, [["1/2", 1, 0], [1, 0, "1/3"]])
+    a2 = DenseMatrix(field, [["-1/2", -1, 0], [0, "1/5", 0]])
+    a3 = DenseMatrix(field, [[0, 0, 0], ["2/3", 0, "1/2"]])
+    c = DenseMatrix(field, [["1/5", 0, 1], [0, "1/3", 0], [1, 0, "-1/2"]])
+    ident = DenseMatrix.identity(field, 3)
+    pairs = [(a1, ident), (a2, ident), (a3, c)]
+    got = product_sum(pairs)
+    assert got == a1 + a2 + a3 * c
+    assert got.row_lists() == [[sum(xs, field.zero) for xs in zip(*rows)]
+                               for rows in zip(*[reference_product(a, b) for a, b in pairs])]
+    assert got._data[0] == [] and got._den[0] == 1
+    assert_canonical(got)
+    assert product_sum([(a1, ident), (-a1, ident)]) == DenseMatrix.zeros(field, 2, 3)
+
+
+def test_product_sum_rejects_mismatched_terms():
+    a, b = DenseMatrix(QQ, [[1, 2]]), DenseMatrix(QQ, [[1], [2]])
+    with pytest.raises(FieldMismatch):
+        product_sum([(a, b), (DenseMatrix(GF(7), [[1, 2]]), DenseMatrix(GF(7), [[1], [2]]))])
+    with pytest.raises(FieldMismatch):
+        product_sum([(a, DenseMatrix(GF(7), [[1], [2]]))])
+    with pytest.raises(DimensionMismatch):
+        product_sum([(a, a)])  # inner dimensions differ
+    with pytest.raises(DimensionMismatch):
+        product_sum([(a, b), (b, a)])  # 1x1 and 2x2 products
+    with pytest.raises(DimensionMismatch):
+        product_sum([(a, b), (DenseMatrix(QQ, [[1]]), DenseMatrix(QQ, [[1, 1]]))])  # 1x1 and 1x2
+
+
+def reference_text(m):
+    """The text format as written through ``row_lists``: every entry boxed and formatted."""
+    f = m.field
+    lines = [f"{m.rows} {m.cols} {f.tag}"] + [" ".join(f.format_scalar(a) for a in row) for row in m.row_lists()]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_sum_cases())
+def test_text_matches_boxed_reference(case):
+    _, pairs = case
+    for m in [m for pair in pairs for m in pair] + [product_sum(pairs)]:
+        text = m.to_text()
+        assert text == reference_text(m)
+        assert DenseMatrix.from_text(text) == m
 
 
 @settings(max_examples=100, deadline=None)

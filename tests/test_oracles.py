@@ -243,6 +243,8 @@ def test_casimir_commutes_on_random_deeper_vectors():
     (3, "1/5,-2/7", "gf101", 3, "10/20"),
     (3, "1/5,-2/7", "gf101", 7, "36/120"),
     (3, "1/5,-2/7", "gf101", 10, "66/286"),
+    (3, "1/2,1/3", "gaussian", 6, "28/84"),
+    (3, "1/2,1/3", "rational", 16, "153/969"),
 ])
 def test_truncation_defect_counts_top_degree_monomials(r, weight, tag, n, defect):
     # An observed formula, not a theorem, pinned for these weights only (the

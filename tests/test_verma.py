@@ -253,12 +253,18 @@ def test_evaluate_single_generator_and_unit():
     assert evaluate_uea(rep, single) == rep.images[0]
     unit = UEAElement({(): Fraction(5, 2)})
     assert evaluate_uea(rep, unit) == DenseMatrix.identity(QQ, rep.dim).scale(Fraction(5, 2))
+    for empty in (UEAElement({}), UEAElement({(0,): 0})):
+        assert evaluate_uea(rep, empty) == DenseMatrix.zeros(QQ, rep.dim, rep.dim)
 
 
 def test_evaluate_word_is_matrix_product():
     rep = build_truncation(SL2, HALF, 3)
     fe = UEAElement({(0, 2): 1})
     assert evaluate_uea(rep, fe) == rep.images[0] * rep.images[2]
+    y, h, x = rep.images
+    mixed = UEAElement({(0, 1, 2): Fraction(2, 3), (2, 0): -1, (1,): 4, (): Fraction(-1, 2)})
+    expected = (y * h * x).scale(Fraction(2, 3)) - x * y + h.scale(4) - DenseMatrix.identity(QQ, rep.dim).scale(Fraction(1, 2))
+    assert evaluate_uea(rep, mixed) == expected
 
 
 # ---------------------------------------------------------------------------
