@@ -134,6 +134,7 @@ def _cmd_verma_defect(args):
             "bound": str(bound),
             "pass": defect.value <= bound,
         })
+        del rep  # not kept alive while the next, larger truncation is built
     rows = [[c["n"], c["dim"], c["defect"], c["bound"], c["pass"]] for c in cases]
     return {"cases": cases}, ["n", "dim", "defect", "bound", "pass"], rows
 

@@ -999,31 +999,28 @@ def _product(field, terms, ncols: int) -> list:
         real = [(_real_form(ar, False), ad, _real_form(br), [d for d in bd for _ in (0, 1)])
                 for ar, ad, br, bd in terms]
         return [(_complex_row(row), den) for row, den in _product(QQ, real, 2 * ncols)]
-    parts, dens, flops = [], [], 0  # flops: a per-term estimate, nnz(A) * nnz(B) / rows(B)
+    parts, flops = [], 0  # parts: (A rows, B rows over d_B, the term's den_A[i] * d_B)
     for arows, adens, brows, bdens in terms:
         den_b = math.lcm(*bdens)
         parts.append((arows, [row if d == den_b else [(j, b * (den_b // d)) for j, b in row]
-                              for row, d in zip(brows, bdens)]))
-        dens.append(adens if den_b == 1 else [d * den_b for d in adens])
-        flops += sum(map(len, arows)) * sum(map(len, brows)) // (len(brows) or 1)
-    rdens = dens[0] if len(terms) == 1 else [math.lcm(*ds) for ds in zip(*dens)]
-    if len(terms) > 1:  # each A row over its result row's denominator
-        parts = [([row if d == den else [(k, a * (den // d)) for k, a in row]
-                   for row, d, den in zip(arows, ds, rdens)], bints) for (arows, bints), ds in zip(parts, dens)]
+                              for row, d in zip(brows, bdens)],
+                      adens if den_b == 1 else [d * den_b for d in adens]))
+        flops += sum(map(len, arows)) * sum(map(len, brows)) // (len(brows) or 1)  # estimated
+    rdens = parts[0][2] if len(parts) == 1 else [math.lcm(*ds) for ds in zip(*[ds for _, _, ds in parts])]
     dense, p, out = 4 * flops >= len(rdens) * ncols, field.characteristic, []
-    for i, den in enumerate(rdens):
+    for i, den in enumerate(rdens):  # a term's A row is scaled to the row's denominator as it is used
         if dense:
             acc = [0] * ncols
-            for arows, bints in parts:
-                for k, a in arows[i]:
+            for arows, bints, ds in parts:
+                for k, a in arows[i] if ds[i] == den else [(k, a * (den // ds[i])) for k, a in arows[i]]:
                     for j, b in bints[k]:
                         acc[j] += a * b
             items = enumerate(acc)
         else:
             acc = {}
             get = acc.get
-            for arows, bints in parts:
-                for k, a in arows[i]:
+            for arows, bints, ds in parts:
+                for k, a in arows[i] if ds[i] == den else [(k, a * (den // ds[i])) for k, a in arows[i]]:
                     for j, b in bints[k]:
                         acc[j] = get(j, 0) + a * b
             items = sorted(acc.items())  # distinct columns: values are never compared

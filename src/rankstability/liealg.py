@@ -260,22 +260,22 @@ class DefectReport:
     to_json = report_json
 
 
-def _commutator_defect(x, y, neg_y, neg_bracket, ident) -> DenseMatrix:
-    """x y - y x - phi([x, y]), given -y and the images summing to -phi([x, y])."""
-    return product_sum([(x, y), (neg_y, x), *[(m, ident) for m in neg_bracket]])
+def _commutator_defect(x, y, neg_x, neg_bracket, ident) -> DenseMatrix:
+    """x y - y x - phi([x, y]), given -x and the images summing to -phi([x, y])."""
+    return product_sum([(x, y), (y, neg_x), *[(m, ident) for m in neg_bracket]])
 
 
 def pointwise_defect(rep: AlmostRep) -> DefectReport:
     """Exact max over basis pairs of rk([phi(z_i), phi(z_j)] - phi([z_i, z_j]))."""
     alg = rep.algebra
     ident = DenseMatrix.identity(rep.field, rep.dim)
-    negs = [-m for m in rep.images]
     best = 0
     worst = ("", "")
     for i in range(alg.dim):
+        mi, neg_i = rep.images[i], -rep.images[i]  # one negated image alive at a time
         for j in range(i + 1, alg.dim):
             neg_bracket = [rep.images[k].scale(-c) for k, c in alg.bracket_table(i, j).items()]
-            r = _commutator_defect(rep.images[i], rep.images[j], negs[j], neg_bracket, ident).rank()
+            r = _commutator_defect(mi, rep.images[j], neg_i, neg_bracket, ident).rank()
             if r > best:
                 best = r
                 worst = (alg.label(i), alg.label(j))
@@ -299,7 +299,7 @@ def sampled_defect(rep: AlmostRep, trials: int, seed: int) -> DefectReport:
         y = {i: rng.randint(-3, 3) for i in range(alg.dim)}
         mx, my = rep.apply_coords(x), rep.apply_coords(y)
         neg_bracket = [-rep.apply_coords(alg.bracket_coords(x, y))]
-        best = max(best, _commutator_defect(mx, my, -my, neg_bracket, ident).rank())
+        best = max(best, _commutator_defect(mx, my, -mx, neg_bracket, ident).rank())
     pw = RankDistance(best, rep.dim)
     return DefectReport(pw, Fraction(alg.dim**2) * pw.value, worst, rep.dim)
 

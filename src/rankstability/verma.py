@@ -213,12 +213,13 @@ def build_truncation(
         tuple(images),
         {"tag": "verma_truncation", "weight": module.weight, "n": n},
     )
+    del module, entries  # the action memo and the last entries are not needed for the defect
     report = pointwise_defect(rep)
     bound = epsilon_bound(algebra, n)
     if report.pointwise.value > bound:
         raise BoundViolation(
             f"truncation defect {report.pointwise} exceeded 2m^2/n = {bound}",
-            details={"weight": [str(w) for w in module.weight], "n": n},
+            details={"weight": [str(w) for w in rep.meta["weight"]], "n": n},
         )
     rep.meta["pointwise_defect"] = report.pointwise
     return rep
