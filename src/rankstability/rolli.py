@@ -11,9 +11,10 @@ depends only on the b-exponents.  Joining two reduced words either
 concatenates the tau-product or, after cancellation, replaces a middle pair
 tau(m) tau(q) by tau(m+q); the multiplicative defect of phi is therefore the
 exact maximum of rk(tau(m) tau(q) - tau(m+q)) over integer pairs, which a
-finite membership-pattern enumeration computes.  It never exceeds 3/n.  Each
-tau(j) is validated and scanned through I + u v^T: Sherman-Morrison checks
-tau(-j), and each pattern is ranked on a core of at most 2x2.
+finite membership-pattern enumeration computes.  It never exceeds 3/n.  A
+family is given by the nonzeros of each tau(j) - I = u v^T, through which it is
+validated and scanned: Sherman-Morrison checks tau(-j), and each pattern is
+ranked on a core of at most 2x2.  tau(j) itself is built on first use.
 
 The witness word a b a b^2 ... a b^t accumulates tau(1)...tau(t); presets are
 chosen so that product is far from the identity, which pushes every true
@@ -161,58 +162,57 @@ WORD_B = ReducedWord((("b", 1),))
 class TauFamily:
     """Symmetric map Z -> GL_n with identity outside a finite support.
 
-    Required properties, validated on construction: tau(-j) is the inverse of
-    tau(j), and every tau(j) sits within normalized rank 1/n of the identity.
+    Given by its deltas {j: {(i, k): value}}, the nonzero entries of
+    tau(j) - I; tau(j) itself is built on first use.  Required properties,
+    validated on construction: tau(-j) is the inverse of tau(j), and every
+    tau(j) sits within normalized rank 1/n of the identity.
     """
 
-    def __init__(self, field: ExactField, n: int, mapping: dict, preset: str = "custom"):
-        self.field = field
-        self.n = n
-        self.preset = preset
-        self._map: dict[int, DenseMatrix] = {}
-        for j, mat in mapping.items():
+    def __init__(self, field: ExactField, n: int, deltas: dict, preset: str = "custom"):
+        self.field, self.n, self.preset = field, n, preset
+        self._deltas: dict[int, dict] = {}
+        for j, delta in deltas.items():
             if j == 0:
                 raise ValueError("tau(0) is fixed to the identity; do not supply it")
-            if mat.shape != (n, n):
-                raise DimensionMismatch(f"tau({j}) has shape {mat.shape}")
-            if mat.field != field:
-                raise FieldMismatch("mixed fields in tau family")
-            self._map[j] = mat
-        ident = DenseMatrix.identity(field, n)
-        self._identity = ident
+            if not all(0 <= i < n and 0 <= k < n for i, k in delta):
+                raise DimensionMismatch(f"tau({j}) has an entry outside {n}x{n}")
+            self._deltas[j] = {pos: x for pos, y in delta.items() if (x := field.coerce(y))}
+        self._dense: dict[int, DenseMatrix] = {}  # tau(j), one per support element and 0
         self._witness: dict[int, tuple] = {}
         # j -> (u, v, id of u, id of v) for D_j = tau(j) - I = u v^T != 0: v is the
         # first nonzero row of D_j, u its column through that row's first nonzero
         # entry a, over a; both {coordinate: value} dicts.  Parallel ones share an id.
         self._factors: dict[int, tuple] = {}
-        deltas, ids = {}, {}
-        for j, mat in sorted(self._map.items()):
-            if -j not in self._map:
+        deltas, ids = self._deltas, {}
+        for j, d in sorted(deltas.items()):
+            if -j not in deltas:
                 raise ValueError(f"support is not symmetric: {j} present, {-j} missing")
-            delta = mat - ident
-            if delta.rank() > 1:
-                raise ValueError(f"tau({j}) is not within rank one of the identity")
-            d = deltas[j] = delta.nonzeros()
             if d:
                 (i0, j0), a = min(d.items())  # u leads with 1 at i0 and v with a at j0
                 u = {i: x / a for (i, c), x in d.items() if c == j0}
                 v = {c: x for (i, c), x in d.items() if i == i0}
+                # rank one exactly when D_j is the outer product u v^T
+                if len(u) * len(v) != len(d) or d != {(i, c): x * y for i, x in u.items() for c, y in v.items()}:
+                    raise ValueError(f"tau({j}) is not within rank one of the identity")
                 keys = (tuple(sorted(u.items())), tuple((c, x / a) for c, x in sorted(v.items())))
                 self._factors[j] = (u, v, *[ids.setdefault(key, len(ids)) for key in keys])
         # tr D_j = v^T u.  If 1 + tr D_j != 0, then (I + u v^T)(I - u v^T / (1 + v^T u)) = I
         # (Sherman-Morrison), so tau(j) tau(-j) = I exactly when D_-j = -D_j / (1 + tr D_j).
         # If 1 + tr D_j = 0, then (I + D_j) u = (1 + v^T u) u = 0 with u != 0: tau(j) is singular.
-        for j in sorted(j for j in self._map if j > 0):
+        for j in sorted(j for j in deltas if j > 0):
             den = sum((x for (r, c), x in deltas[j].items() if r == c), field.one)
             if not den or deltas[-j] != {pos: -x / den for pos, x in deltas[j].items()}:
                 raise ValueError(f"tau({j}) and tau({-j}) are not inverse")
-        self.support = frozenset(self._map)
+        self.support = frozenset(deltas)
         self.support_bound = max((abs(j) for j in self.support), default=0)
 
     def tau(self, j: int) -> DenseMatrix:
-        if j == 0:
-            return self._identity
-        return self._map.get(j, self._identity)
+        """I + D_j, built on first use; every j outside the support shares tau(0) = I."""
+        j = j if j in self._deltas else 0
+        if j not in self._dense:
+            delta = DenseMatrix.from_entries(self.field, self.n, self.n, self._deltas.get(j, {}))
+            self._dense[j] = DenseMatrix.identity(self.field, self.n) + delta
+        return self._dense[j]
 
     def moved(self, j: int) -> frozenset:
         """Coordinates i where row i or column i of tau(j) differs from I's: supp(u) | supp(v)."""
@@ -229,7 +229,7 @@ class TauFamily:
         if hit is None:
             w = witness_word(t)
             phi_w = phi_eval(w, self)
-            hit = self._witness[t] = (w, phi_w, Fraction((phi_w - self._identity).rank(), self.n))
+            hit = self._witness[t] = (w, phi_w, Fraction((phi_w - self.tau(0)).rank(), self.n))
         return hit
 
 
@@ -237,28 +237,22 @@ def preset_tau(kind: str, n: int, field: ExactField = QQ) -> TauFamily:
     """Built-in families: diag_involution, transposition, transvection."""
     if n < 1:
         raise ValueError("n must be positive")
-    ident = DenseMatrix.identity(field, n)
-
-    def ident_plus(entries: dict) -> DenseMatrix:
-        # I + D from the nonzeros of D: the rows D leaves alone stay I's own
-        return ident + DenseMatrix.from_entries(field, n, n, entries)
-
-    mapping: dict[int, DenseMatrix] = {}
+    deltas: dict[int, dict] = {}
     if kind == "diag_involution":
         if field.characteristic == 2:
             raise ValueError("diag_involution needs characteristic != 2")
         for j in range(1, n + 1):
-            mapping[j] = mapping[-j] = ident_plus({(j - 1, j - 1): -2})
+            deltas[j] = deltas[-j] = {(j - 1, j - 1): -2}
     elif kind == "transposition":
         for j in range(1, n):
-            mapping[j] = mapping[-j] = ident_plus({(j - 1, j - 1): -1, (j, j): -1, (j - 1, j): 1, (j, j - 1): 1})
+            deltas[j] = deltas[-j] = {(j - 1, j - 1): -1, (j, j): -1, (j - 1, j): 1, (j, j - 1): 1}
     elif kind == "transvection":
         for j in range(1, n):
-            mapping[j] = ident_plus({(j, j - 1): 1})
-            mapping[-j] = ident_plus({(j, j - 1): -1})
+            deltas[j] = {(j, j - 1): 1}
+            deltas[-j] = {(j, j - 1): -1}
     else:
         raise ValueError(f"unknown preset {kind!r}")
-    return TauFamily(field, n, mapping, preset=kind)
+    return TauFamily(field, n, deltas, preset=kind)
 
 
 def phi_eval(word: ReducedWord, tau: TauFamily) -> DenseMatrix:

@@ -8,6 +8,8 @@ reports the largest size with a nonvanishing determinant.
 import re
 from itertools import combinations
 
+from rankstability.exactfield import DenseMatrix
+
 
 def det_laplace(rows):
     """Determinant by first-row cofactor expansion; rows of field elements."""
@@ -43,6 +45,11 @@ def rank_by_minors(matrix) -> int:
                 if det_laplace(sub):
                     return k
     return 0
+
+
+def deltas(mapping) -> dict:
+    """The {j: {(i, k): value}} nonzeros of tau(j) - I that TauFamily takes, from {j: tau(j)}."""
+    return {j: (m - DenseMatrix.identity(m.field, m.rows)).nonzeros() for j, m in mapping.items()}
 
 
 def token_prefixes(text: str) -> list:

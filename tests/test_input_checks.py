@@ -107,9 +107,10 @@ CHECKS = [
     # rolli
     ("ReducedWord generator", lambda: ReducedWord((("c", 1),)), ValueError, "unknown generator"),
     ("word_reduce letter", lambda: word_reduce("abx"), ValueError, "unknown letter"),
-    ("TauFamily shape", lambda: TauFamily(QQ, 2, {1: eye(3), -1: eye(3)}), DimensionMismatch, "has shape"),
-    ("TauFamily field", lambda: TauFamily(QQ, 2, {1: eye(2, GF3), -1: eye(2, GF3)}),
-     FieldMismatch, "mixed fields"),
+    ("TauFamily shape", lambda: TauFamily(QQ, 2, {1: {(2, 2): 1}, -1: {(2, 2): -1}}), DimensionMismatch,
+     "entry outside 2x2"),
+    ("TauFamily field", lambda: TauFamily(GF3, 2, {1: {(0, 1): GF(5).one}, -1: {(0, 1): GF(5).one}}),
+     FieldMismatch, "GF(5) element used in GF(3)"),
     ("preset_tau kind", lambda: preset_tau("bogus", 3), ValueError, "unknown preset"),
     ("ExplicitRep shapes", lambda: ExplicitRep(eye(2), eye(3)), DimensionMismatch, "square of equal size"),
     ("ExplicitRep fields", lambda: ExplicitRep(eye(2), eye(2, GF3)), FieldMismatch, "different fields"),

@@ -25,6 +25,8 @@ from rankstability.verma import VermaModule, build_truncation, parse_weight
 
 import pytest
 
+from conftest import deltas
+
 
 # ---------------------------------------------------------------------------
 # word-pair defect oracle
@@ -96,7 +98,7 @@ def test_custom_tau_family_accepted_and_certified():
         2: ident + _elem(field, n, 5, 1, Fraction(2, 3)),
         -2: ident - _elem(field, n, 5, 1, Fraction(2, 3)),
     }
-    tau = TauFamily(field, n, mapping, preset="custom")
+    tau = TauFamily(field, n, deltas(mapping), preset="custom")
     result = exact_defect(tau)
     assert result.defect.value <= Fraction(3, n)
 
@@ -105,17 +107,20 @@ def test_custom_tau_family_validation():
     n = 5
     ident = DenseMatrix.identity(QQ, n)
     with pytest.raises(ValueError):  # asymmetric support
-        TauFamily(QQ, n, {1: ident + _elem(QQ, n, 2, 0)})
+        TauFamily(QQ, n, deltas({1: ident + _elem(QQ, n, 2, 0)}))
     with pytest.raises(ValueError):  # not mutually inverse
-        TauFamily(QQ, n, {
+        TauFamily(QQ, n, deltas({
             1: ident + _elem(QQ, n, 2, 0),
             -1: ident + _elem(QQ, n, 2, 0),
-        })
-    with pytest.raises(ValueError):  # too far from the identity
+        }))
+    with pytest.raises(ValueError, match="not within rank one"):  # too far from the identity
         far = ident + _elem(QQ, n, 2, 0) + _elem(QQ, n, 3, 1)
-        TauFamily(QQ, n, {1: far, -1: far.inverse()})
+        TauFamily(QQ, n, deltas({1: far, -1: far.inverse()}))
+    with pytest.raises(ValueError, match="not within rank one"):  # rank 2 on a full product support
+        far = ident + DenseMatrix.from_entries(QQ, n, n, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 2})
+        TauFamily(QQ, n, deltas({1: far, -1: far.inverse()}))
     with pytest.raises(ValueError):  # tau(0) is fixed
-        TauFamily(QQ, n, {0: ident})
+        TauFamily(QQ, n, deltas({0: ident}))
 
 
 def test_tau_gf2_transposition_involution():

@@ -30,6 +30,8 @@ from rankstability.rolli import (
 )
 from rankstability.prng import random_invertible
 
+from conftest import deltas
+
 
 # ---------------------------------------------------------------------------
 # reduced words
@@ -210,7 +212,7 @@ def rank_one_family(field, n, bound, seed):
                 break
         mapping[j] = ident + u * v
         mapping[-j] = ident - (u * v).scale(field.one / denom)
-    return TauFamily(field, n, mapping)
+    return TauFamily(field, n, deltas(mapping))
 
 
 @settings(max_examples=40, deadline=None)
@@ -235,7 +237,7 @@ def test_exact_defect_keeps_scanning_after_a_row_of_two():
     mapping = {}
     for j, c in {1: 0, 2: 1, 3: 2, 4: 0}.items():
         mapping[j] = mapping[-j] = ident - DenseMatrix.elementary(QQ, n, n, c, c, 2)
-    tau = TauFamily(QQ, n, mapping)
+    tau = TauFamily(QQ, n, deltas(mapping))
     assert max((tau.tau(-4) * tau.tau(q) - tau.tau(q - 4)).rank() for q in tau.support) == 2
     result = exact_defect(tau)
     assert result.defect.numerator == 3
@@ -308,7 +310,7 @@ def dense_rank_one_families(draw):
             denom = field.one
         mapping[j] = ident + u * v
         mapping[-j] = ident - (u * v).scale(field.one / denom)
-    return TauFamily(field, n, mapping)
+    return TauFamily(field, n, deltas(mapping))
 
 
 @settings(max_examples=200, deadline=None)
@@ -331,7 +333,7 @@ def row0_family(field, n):
     for j in range(1, n):
         e = DenseMatrix.elementary(field, n, n, 0, j)
         mapping[j], mapping[-j] = ident + e, ident - e
-    return TauFamily(field, n, mapping)
+    return TauFamily(field, n, deltas(mapping))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
@@ -397,12 +399,43 @@ def test_validation_matches_dense_checks(case, sign, j):
     expected = dense_validation_error(field, n, mapping)
     assert (expected is None) == (d.rank() <= 1 and (ident + d) * m == ident)
     if expected is None:
-        tau = TauFamily(field, n, mapping)
+        tau = TauFamily(field, n, deltas(mapping))
         assert tau.tau(sign * j) == ident + d and tau.tau(-sign * j) == m
     else:
         with pytest.raises(ValueError) as err:
-            TauFamily(field, n, mapping)
+            TauFamily(field, n, deltas(mapping))
         assert str(err.value) == expected
+
+
+def preset_deltas(kind, n):
+    """The nonzeros of tau(j) - I of each preset, written out from its definition."""
+    if kind == "diag_involution":
+        return {s * j: {(j - 1, j - 1): -2} for j in range(1, n + 1) for s in (1, -1)}
+    if kind == "transposition":
+        return {s * j: {(j - 1, j - 1): -1, (j, j): -1, (j - 1, j): 1, (j, j - 1): 1}
+                for j in range(1, n) for s in (1, -1)}
+    return {s * j: {(j, j - 1): s} for j in range(1, n) for s in (1, -1)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
+@pytest.mark.parametrize("kind,field", [
+    ("diag_involution", QQ), ("diag_involution", GF(3)),
+    ("transposition", QQ), ("transposition", GF(2)), ("transposition", GF(3)),
+    ("transvection", QQ), ("transvection", GF(2)), ("transvection", GF(3)),
+])
+def test_preset_families_match_dense_build(kind, field, n):
+    tau = preset_tau(kind, n, field)
+    ident = DenseMatrix.identity(field, n)
+    dense = {j: ident + DenseMatrix.from_entries(field, n, n, d) for j, d in preset_deltas(kind, n).items()}
+    assert tau.support == dense.keys()
+    assert all(tau.tau(j) == m for j, m in dense.items())
+    assert dense_validation_error(field, n, dense) is None
+
+
+def test_defect_at_large_n_builds_no_dense_tau():
+    tau = preset_tau("transvection", 4096)
+    assert exact_defect(tau).defect.value == Fraction(3, 4096)
+    assert not tau._dense
 
 
 def dense_moved(tau, j):
