@@ -353,6 +353,8 @@ class RationalField(ExactField):
             if x.im:
                 raise ValueError(f"{x} has a nonzero imaginary part")
             return x.re
+        if isinstance(x, FpElement):
+            raise FieldMismatch(f"GF({x.p}) element used in Q")
         raise TypeError(f"cannot coerce {x!r} into Q")
 
     def format_scalar(self, x) -> str:
@@ -393,13 +395,11 @@ class GaussianRationalField(ExactField):
     def coerce(self, x):
         if isinstance(x, GaussianRational):
             return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
         if isinstance(x, tuple) and len(x) == 2:
             return GaussianRational(*x)
         if isinstance(x, str):
             return self._parse_token(x)
-        raise TypeError(f"cannot coerce {x!r} into Q(i)")
+        return GaussianRational(QQ.coerce(x))  # a rational scalar, or Q's error
 
     @staticmethod
     def _parse_token(tok: str) -> GaussianRational:
@@ -725,11 +725,13 @@ class DenseMatrix:
     def __hash__(self):
         return hash((self.field, self._den, tuple(map(tuple, self._data))))
 
-    def direct_sum(self, other: "DenseMatrix") -> "DenseMatrix":
-        self._check_same(other)
-        c = self.cols
-        shifted = [([(j + c, a) for j, a in row], den) for row, den in zip(other._data, other._den)]
-        return self._from_rows(self.field, [*zip(self._data, self._den), *shifted], c + other.cols)
+    def direct_sum(self, *others: "DenseMatrix") -> "DenseMatrix":
+        pairs, c = [*zip(self._data, self._den)], self.cols
+        for other in others:
+            self._check_same(other)
+            pairs += [([(j + c, a) for j, a in row], den) for row, den in zip(other._data, other._den)]
+            c += other.cols
+        return self._from_rows(self.field, pairs, c)
 
     def pad(self, rows: int, cols: int) -> "DenseMatrix":
         """Embed into the top-left corner of a rows-by-cols zero matrix."""
@@ -1064,10 +1066,12 @@ def _eliminate_int(rows, reduced: bool) -> list[int]:
     r, m = row_i[c] and the previous pivot prev; the division is exact and
     entries stay minors of the input.  Here a row with m = 0 is left alone,
     standing for its Bareiss row times den[i] / prev, with den[i] the pivot
-    at which it last changed: its next step divides by den[i], and a stale
-    pivot row is first scaled by prev / den[r].  Without `reduced` only rows
-    below r are cleared (enough for the rank); with it every other row is
-    too, and each pivot row over its pivot entry is a row of the RREF.
+    at which it last changed: its next step divides by den[i].  A pivot row
+    with a row to clear is first scaled by prev / den[r] if stale, and its
+    pivot becomes prev; one with none is left out of the sequence, as if
+    moved last, so a scaled permutation stays as it is.  Without `reduced`
+    only rows below r are cleared (enough for the rank); with it every other
+    row is too, and each pivot row over its pivot entry is a row of the RREF.
     """
     nrows, ncols = len(rows), len(rows[0])
     den = [1] * nrows
@@ -1083,21 +1087,22 @@ def _eliminate_int(rows, reduced: bool) -> list[int]:
             continue
         rows[r], rows[p] = rows[p], rows[r]
         den[r], den[p] = den[p], den[r]
-        rowr = rows[r]
-        if den[r] != prev:
-            rowr = rows[r] = [a * prev // den[r] for a in rowr]
-        piv = den[r] = rowr[c]
+        rowr = None
         for i in range(0 if reduced else r + 1, nrows):
             row = rows[i]
             m = row[c]
             if m and i != r:
+                if rowr is None:  # row r has a row to clear: it joins the Bareiss sequence
+                    rowr = rows[r]
+                    if den[r] != prev:
+                        rowr = rows[r] = [a * prev // den[r] for a in rowr]
+                    piv = prev = den[r] = rowr[c]
                 d = den[i]
                 # rows below r are zero left of c, as row r is
                 for j in range(0 if i < r else c + 1, ncols):
                     row[j] = (piv * row[j] - m * rowr[j]) // d
                 row[c] = 0
                 den[i] = piv
-        prev = piv
         pivots.append(c)
     return pivots
 

@@ -343,15 +343,9 @@ def direct_sum_rep(partition, field: ExactField = QQ) -> AlmostRep:
     if not parts:
         raise ValueError("empty partition")
     reps = [irreducible_sl2(d, field) for d in parts]
-    images = []
-    for idx in range(3):
-        m = reps[0].images[idx]
-        for rep in reps[1:]:
-            m = m.direct_sum(rep.images[idx])
-        images.append(m)
-    dim = sum(r.dim for r in reps)
+    images = tuple(first.direct_sum(*rest) for first, *rest in zip(*[rep.images for rep in reps]))
     return AlmostRep(
-        build_sl(2), field, dim, tuple(images), {"tag": "direct_sum", "partition": tuple(parts)}
+        build_sl(2), field, images[0].rows, images, {"tag": "direct_sum", "partition": tuple(parts)}
     )
 
 

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankstability import (
@@ -295,6 +296,34 @@ def test_direct_sum_and_pad():
     assert s.shape == (3, 3) and s.entry(2, 2) == 1 and s.entry(0, 2) == 0
     p = a.pad(4, 4)
     assert p.shape == (4, 4) and p.entry(1, 1) == 4 and p.entry(3, 3) == 0
+
+
+@pytest.mark.parametrize("field", [QQ, QQI, GF(3)])
+def test_direct_sum_of_many_blocks_matches_chained_sums(field):
+    rng = XorShift64Star(7)
+    shapes = [(2, 3), (0, 2), (3, 0), (1, 1), (0, 0), (2, 2)]
+    blocks = [random_matrix(field, rng, r, c).scale(Fraction(1, 2)) for r, c in shapes]
+    for shift in range(len(blocks)):  # each block, the empty ones too, in each position
+        order = blocks[shift:] + blocks[:shift]
+        for k in range(5):
+            first, others = order[0], order[1:k + 1]
+            total, chained = first.direct_sum(*others), first
+            for b in others:
+                chained = chained.direct_sum(b)
+            assert total == chained
+            expected, r, c = {}, 0, 0
+            for b in (first, *others):
+                expected.update({(i + r, j + c): v for (i, j), v in b.nonzeros().items()})
+                r, c = r + b.rows, c + b.cols
+            assert total.shape == (r, c) and total.nonzeros() == expected
+
+
+@pytest.mark.parametrize("pos", range(4))
+def test_direct_sum_refuses_a_block_over_another_field(pos):
+    blocks = [DenseMatrix.identity(QQ, 2)] * 3
+    blocks.insert(pos, DenseMatrix.identity(GF(3), 2))
+    with pytest.raises(FieldMismatch):
+        blocks[0].direct_sum(*blocks[1:])
 
 
 def test_stacking():
@@ -742,6 +771,9 @@ def reference_kernel(m):
 
 @st.composite
 def int_kernel_matrices(draw, field, rows, cols):
+    """Dense, sparse (each entry kept with probability 1/4) or structured
+    (diagonal, bidiagonal, scaled permutation) matrices; in the last, most
+    pivots have no row to clear."""
     big = draw(st.booleans())
     if field.characteristic == 0:
         nums = st.integers(-10**6, 10**6) if big else st.integers(-5, 5)
@@ -753,9 +785,22 @@ def int_kernel_matrices(draw, field, rows, cols):
         entry = st.integers(0, field.p - 1) if big else st.integers(-2, 2)
     if not rows:
         return DenseMatrix.zeros(field, 0, cols)
-    data = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
-    for i in range(1, rows):  # forced rank deficiency: a row copies a combination
-        if draw(st.integers(0, 3)) == 0:
+    shape = draw(st.sampled_from(["dense", "sparse", "diagonal", "bidiagonal", "permutation"]))
+    if shape == "dense":
+        keep = lambda i, j: True
+    elif shape == "sparse":
+        keep = lambda i, j: draw(st.integers(0, 3)) == 0
+    elif shape == "diagonal":
+        keep = lambda i, j: i == j
+    elif shape == "bidiagonal":
+        off = draw(st.sampled_from([-1, 1]))
+        keep = lambda i, j: j - i in (0, off)
+    else:
+        perm = draw(st.permutations(range(max(rows, cols))))
+        keep = lambda i, j: perm[i] == j
+    data = [[draw(entry) if keep(i, j) else 0 for j in range(cols)] for i in range(rows)]
+    for i in range(1, rows) if shape in ("dense", "sparse") else ():
+        if draw(st.integers(0, 3)) == 0:  # forced rank deficiency: a row copies a combination
             k, s = draw(st.integers(0, i - 1)), draw(st.integers(-3, 3))
             data[i] = [x + s * y for x, y in zip(data[i - 1], data[k])]
     for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
@@ -802,14 +847,32 @@ def test_int_kernels_match_boxed_reference(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: st.lists(
-    st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)))
+@given(st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(lambda shape: st.lists(
+    st.lists(st.integers(-9, 9) | st.just(0), min_size=shape[1], max_size=shape[1]),
+    min_size=shape[0], max_size=shape[0])))
+@example([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [2, 0, 0, 0]])  # no pivot has a row to clear
 def test_integer_elimination_stays_fraction_free(rows):
-    """The last pivot is the determinant up to sign, as in Bareiss' elimination."""
-    det = det_laplace([[Fraction(x) for x in row] for row in rows])
+    """Every nonzero entry left is a minor of the input up to sign, as in Bareiss' elimination."""
+    nrows, ncols = len(rows), len(rows[0])
+    minors = {abs(det_laplace([[rows[i][j] for j in cs] for i in rs]))
+              for k in range(1, min(nrows, ncols) + 1)
+              for rs in combinations(range(nrows), k) for cs in combinations(range(ncols), k)}
     for reduced in (False, True):
         work = [list(row) for row in rows]
         pivots = _eliminate_int(work, reduced)
         assert len(pivots) == rank_by_minors(DenseMatrix(QQ, rows))
-        if det:
-            assert abs(work[-1][pivots[-1]]) == abs(det)
+        assert {abs(a) for row in work for a in row if a} <= minors
+
+
+def test_pivot_rows_with_nothing_to_clear_stay_unchanged():
+    """A scaled permutation has no row to clear at any pivot, so no row changes
+    and its entries stay at 9 bits.  Were every pivot taken into the Bareiss
+    sequence, each pivot row would be scaled by the one before, to 2050 bits."""
+    n = 300
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][7 * i % n] = i + 2
+    for reduced in (False, True):
+        work = [list(row) for row in rows]
+        assert len(_eliminate_int(work, reduced)) == n
+        assert sorted(work) == sorted(rows)

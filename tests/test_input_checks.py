@@ -17,7 +17,7 @@ from rankstability.compress import (
     random_frame,
 )
 from rankstability.errors import DimensionMismatch, FieldMismatch
-from rankstability.exactfield import GF, QQ, DenseMatrix, hstack, modular_rank_certificate, vstack
+from rankstability.exactfield import GF, QQ, QQI, DenseMatrix, hstack, modular_rank_certificate, vstack
 from rankstability.liealg import AlmostRep, ChevalleyBasis, build_sl, direct_sum_rep, irreducible_sl2
 from rankstability.prng import XorShift64Star
 from rankstability.rankmetric import flexible_distance, strict_distance
@@ -111,6 +111,9 @@ CHECKS = [
      "entry outside 2x2"),
     ("TauFamily field", lambda: TauFamily(GF3, 2, {1: {(0, 1): GF(5).one}, -1: {(0, 1): GF(5).one}}),
      FieldMismatch, "GF(5) element used in GF(3)"),
+    ("RationalField.coerce field", lambda: QQ.coerce(GF3.one), FieldMismatch, "GF(3) element used in Q"),
+    ("GaussianRationalField.coerce field", lambda: DenseMatrix.from_entries(QQI, 1, 1, {(0, 0): GF3.one}),
+     FieldMismatch, "GF(3) element used in Q"),
     ("preset_tau kind", lambda: preset_tau("bogus", 3), ValueError, "unknown preset"),
     ("ExplicitRep shapes", lambda: ExplicitRep(eye(2), eye(3)), DimensionMismatch, "square of equal size"),
     ("ExplicitRep fields", lambda: ExplicitRep(eye(2), eye(2, GF3)), FieldMismatch, "different fields"),

@@ -225,6 +225,17 @@ def test_direct_sum_rep():
     assert weights == [-2, 0, 0, 2]
 
 
+@pytest.mark.parametrize("partition", [[0] * 5, [12, 3, 0, 3]])
+def test_direct_sum_rep_matches_chained_blocks(partition):
+    rep = direct_sum_rep(partition)
+    assert rep.dim == sum(d + 1 for d in partition)
+    for idx, image in enumerate(rep.images):
+        chained = irreducible_sl2(partition[0]).images[idx]
+        for d in partition[1:]:
+            chained = chained.direct_sum(irreducible_sl2(d).images[idx])
+        assert image == chained
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
