@@ -48,9 +48,9 @@ from .rolli import (
 )
 from .verma import (
     VermaModule,
+    _casimir_character,
     build_truncation,
     casimir,
-    central_character_value,
     check_highest_weight_structure,
     epsilon_bound,
     parse_weight,
@@ -141,8 +141,8 @@ def _cmd_verma_defect(args):
 
 def _cmd_verma_casimir(args):
     algebra, field, weight = _verma_inputs(args)
+    chi = _casimir_character(algebra, weight, field)
     omega = casimir(algebra, field)
-    chi = central_character_value(algebra, omega, weight, field)
     module = VermaModule(algebra, weight, field)
     # centrality spot check: the ordered element commutes with every generator
     # through exact straightening on low-degree vectors

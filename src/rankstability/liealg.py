@@ -321,20 +321,25 @@ def complexify(rep: AlmostRep) -> AlmostRep:
     return AlmostRep(rep.algebra, QQI, rep.dim, images, meta)
 
 
+@functools.cache
+def _sl2_images(d: int, field: ExactField) -> tuple:
+    """The images (f, h, e) of L(d), built once per (d, field); matrices are immutable."""
+    if d < 0:
+        raise ValueError("the highest weight must be a nonnegative integer")
+    n = d + 1
+    fmat = DenseMatrix.from_entries(field, n, n, {(k + 1, k): 1 for k in range(d)})
+    hmat = DenseMatrix.diagonal(field, [d - 2 * k for k in range(n)])
+    emat = DenseMatrix.from_entries(field, n, n, {(k - 1, k): k * (d - k + 1) for k in range(1, n)})
+    return fmat, hmat, emat
+
+
 def irreducible_sl2(d: int, field: ExactField = QQ) -> AlmostRep:
     """The (d+1)-dimensional simple highest-weight representation of sl_2.
 
     Weight basis v_0..v_d with h v_k = (d-2k) v_k, f v_k = v_{k+1} and
     e v_k = k(d-k+1) v_{k-1}; a true representation, so its defect is zero.
     """
-    if d < 0:
-        raise ValueError("the highest weight must be a nonnegative integer")
-    alg = build_sl(2)
-    n = d + 1
-    fmat = DenseMatrix.from_entries(field, n, n, {(k + 1, k): 1 for k in range(d)})
-    hmat = DenseMatrix.diagonal(field, [d - 2 * k for k in range(n)])
-    emat = DenseMatrix.from_entries(field, n, n, {(k - 1, k): k * (d - k + 1) for k in range(1, n)})
-    return AlmostRep(alg, field, n, (fmat, hmat, emat), {"tag": "irreducible_sl2", "d": d})
+    return AlmostRep(build_sl(2), field, d + 1, _sl2_images(d, field), {"tag": "irreducible_sl2", "d": d})
 
 
 def direct_sum_rep(partition, field: ExactField = QQ) -> AlmostRep:
@@ -342,8 +347,8 @@ def direct_sum_rep(partition, field: ExactField = QQ) -> AlmostRep:
     parts = list(partition)
     if not parts:
         raise ValueError("empty partition")
-    reps = [irreducible_sl2(d, field) for d in parts]
-    images = tuple(first.direct_sum(*rest) for first, *rest in zip(*[rep.images for rep in reps]))
+    blocks = [_sl2_images(d, field) for d in parts]
+    images = tuple(first.direct_sum(*rest) for first, *rest in zip(*blocks))
     return AlmostRep(
         build_sl(2), field, images[0].rows, images, {"tag": "direct_sum", "partition": tuple(parts)}
     )

@@ -16,6 +16,7 @@ what the separation and distance certificates exploit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import comb
@@ -393,6 +394,16 @@ def central_character_value(
     return vec.get(module.zero_monomial, field.zero)
 
 
+@functools.cache
+def _casimir_character(algebra: ChevalleyBasis, weight: tuple, field: ExactField):
+    """The quadratic Casimir's central character at `weight`, straightened once per key.
+
+    The weight's coordinates are compared by value, so they must already lie
+    in `field`, as `parse_weight` and a truncation's meta leave them.
+    """
+    return central_character_value(algebra, casimir(algebra, field), weight, field)
+
+
 @dataclass(frozen=True)
 class NearScalarReport:
     deviation: RankDistance
@@ -472,8 +483,8 @@ def separation_certificate(rep_a: AlmostRep, rep_b: AlmostRep) -> SeparationRepo
     field = rep_a.field
     n = rep_a.meta["n"]
     omega = casimir(alg, field)
-    chi_a = central_character_value(alg, omega, rep_a.meta["weight"], field)
-    chi_b = central_character_value(alg, omega, rep_b.meta["weight"], field)
+    chi_a = _casimir_character(alg, rep_a.meta["weight"], field)
+    chi_b = _casimir_character(alg, rep_b.meta["weight"], field)
     if chi_a == chi_b:
         return SeparationReport(
             "inconclusive (linked or same character)", chi_a, chi_b, None, None, None
@@ -515,8 +526,8 @@ def rep_distance_certificate(rep: AlmostRep, psi: AlmostRep) -> RepDistanceRepor
 
         W = intersection of ker(ext_psi(z_i) - chi_lambda(z_i) I)
 
-    over the central generators is zero; the certificate computes W exactly
-    and emits the closed-form bound
+    over the central generators is zero; the certificate computes dim W
+    exactly, as N - rank by rank-nullity, and emits the closed-form bound
 
         (C(R+ell, ell) R ell)^-1 * (1 - ell (R+m+1) eps_n)
 
@@ -541,20 +552,16 @@ def rep_distance_certificate(rep: AlmostRep, psi: AlmostRep) -> RepDistanceRepor
         )
 
     omega = casimir(alg, field)
-    chi = central_character_value(alg, omega, rep.meta["weight"], field)
+    chi = _casimir_character(alg, rep.meta["weight"], field)
     deg = omega.degree
 
     partition = psi.meta.get("partition")
-    inconclusive = False
-    if partition is not None and alg.r == 2:
-        for d in set(partition):
-            chi_d = central_character_value(alg, omega, (d,), field)
-            if chi_d == chi:
-                inconclusive = True
-                break
+    inconclusive = partition is not None and alg.r == 2 and any(
+        _casimir_character(alg, (d,), field) == chi for d in set(partition)
+    )
 
     shifted = evaluate_uea(psi, omega) - DenseMatrix.identity(field, N).scale(chi)
-    kernel_dim = shifted.kernel_basis().cols
+    kernel_dim = N - shifted.rank()
 
     if inconclusive:
         return RepDistanceReport(

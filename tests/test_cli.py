@@ -395,6 +395,22 @@ def test_sweep_example_matches_direct_runs(capsys):
         assert strip_timing(out) == swept
 
 
+def test_sweep_across_fields_matches_standalone_runs(tmp_path, capsys):
+    # the simple modules and characters cached per field must not leak between entries
+    entries = [{"command": "verma.repdist", "options": {"lambda": "1/2", "n": 16, "field": tag}}
+               for tag in ("rational", "gf7", "rational")]
+    code, out, _ = run_sweep(tmp_path, capsys, {"runs": entries})
+    runs = strip_timing(out)["runs"]
+    assert code == 3 and len(runs) == 3  # gf7 has inconclusive cases
+    codes = []
+    for entry, swept in zip(entries, runs):
+        argv = ["verma", "repdist"] + [f"--{key}={value}" for key, value in entry["options"].items()]
+        code, out, _ = run_cli(capsys, *argv)
+        codes.append(code)
+        assert strip_timing(out) == swept
+    assert codes == [0, 3, 0]
+
+
 @pytest.mark.parametrize("n", ["0", "-2"])
 @pytest.mark.parametrize("preset", ["diag_involution", "transposition", "transvection"])
 @pytest.mark.parametrize("command", ["defect", "witness", "certify"])

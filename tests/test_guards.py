@@ -15,8 +15,14 @@ from rankstability import rolli
 from rankstability.cli import main
 from rankstability.errors import BoundViolation
 from rankstability.exactfield import QQ, DenseMatrix, vstack
-from rankstability.liealg import build_sl
-from rankstability.verma import build_truncation, casimir, check_near_scalar
+from rankstability.liealg import build_sl, direct_sum_rep
+from rankstability.verma import (
+    build_truncation,
+    casimir,
+    central_character_value,
+    check_near_scalar,
+    evaluate_uea,
+)
 
 TRUE_RANK = DenseMatrix.rank
 SL2 = build_sl(2)
@@ -101,17 +107,28 @@ def test_separation_guard_fires(capsys, monkeypatch):
     assert "separation rank 0/17 below 1 - 2(R+1)eps = 1/4" in err
 
 
+def shifted_casimir(d):
+    """Omega on L(d) less chi(1/2) I: the matrix `verma repdist --lambda 1/2` ranks for its
+    first battery case, the partition [d] with d = n."""
+    omega, psi = casimir(SL2), direct_sum_rep([d])
+    chi = central_character_value(SL2, omega, (Fraction(1, 2),))
+    return evaluate_uea(psi, omega) - DenseMatrix.identity(QQ, psi.dim).scale(chi)
+
+
 def test_common_eigenspace_guard_fires(capsys, monkeypatch):
-    # a kernel that claims the whole space despite unlinked characters
-    monkeypatch.setattr(DenseMatrix, "kernel_basis", lambda m: DenseMatrix.identity(m.field, m.cols))
+    # a shifted Casimir that claims rank 0, so dim W = N despite unlinked characters
+    shifted = shifted_casimir(16)
+    monkeypatch.setattr(DenseMatrix, "rank", lambda m: 0 if m == shifted else TRUE_RANK(m))
     err = run_violation(capsys, ["verma", "repdist", "--lambda", "1/2", "--n", "16", "--battery", "1"],
                         ["kernel_dim"])
     assert "common eigenspace is nonzero" in err
 
 
 def test_basis_distance_guard_fires(capsys, monkeypatch):
-    # rank 0 everywhere: every basis distance reads 0, below the bound 5/36 at n = 48
-    monkeypatch.setattr(DenseMatrix, "rank", lambda m: 0)
+    # rank 0 everywhere but the shifted Casimir, whose true rank keeps dim W = 0:
+    # every basis distance reads 0, below the bound 5/36 at n = 48
+    shifted = shifted_casimir(48)
+    monkeypatch.setattr(DenseMatrix, "rank", lambda m: TRUE_RANK(m) if m == shifted else 0)
     err = run_violation(capsys, ["verma", "repdist", "--lambda", "1/2", "--n", "48", "--battery", "1"],
                         ["n", "N"])
     assert "fell below the certified bound 5/36" in err

@@ -236,6 +236,24 @@ def test_direct_sum_rep_matches_chained_blocks(partition):
         assert image == chained
 
 
+def test_irreducible_sl2_meta_is_per_call():
+    first = irreducible_sl2(3)
+    first.meta["tag"] = "changed"
+    first.meta["extra"] = 1
+    assert irreducible_sl2(3).meta == {"tag": "irreducible_sl2", "d": 3}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(101)])
+def test_cached_sl2_images_match_written_matrices(field):
+    f = [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    h = [[3, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -3]]
+    e = [[0, 3, 0, 0], [0, 0, 4, 0], [0, 0, 0, 3], [0, 0, 0, 0]]
+    written = tuple(DenseMatrix(field, m) for m in (f, h, e))
+    for _ in range(2):  # the second call reads the cache
+        assert irreducible_sl2(3, field).images == written
+        assert direct_sum_rep([3], field).images == written
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -21,7 +21,17 @@ from rankstability import (
 )
 from rankstability.exactfield import DenseMatrix
 from rankstability.rolli import TauFamily
-from rankstability.verma import VermaModule, build_truncation, parse_weight
+from rankstability.cli import _partition_battery
+from rankstability.liealg import direct_sum_rep
+from rankstability.verma import (
+    VermaModule,
+    build_truncation,
+    casimir,
+    central_character_value,
+    evaluate_uea,
+    parse_weight,
+    rep_distance_certificate,
+)
 
 import pytest
 
@@ -260,3 +270,31 @@ def test_truncation_defect_counts_top_degree_monomials(r, weight, tag, n, defect
     got = rep.meta["pointwise_defect"]
     assert str(got) == defect
     assert got.value * rep.dim == comb(n + alg.m - 1, alg.m - 1)
+
+
+# ---------------------------------------------------------------------------
+# common eigenspace dimension by rank-nullity
+
+
+# Over Q no integer d is linked to 1/2.  1/2 is 4 mod 7 and 51 mod 101, linked
+# to d = -4 - 2 = 1 mod 7 and to d = -51 - 2 = 48 mod 101, so L(1) (every
+# battery) and L(48) (the first case at n = 48) give nonzero kernels.
+@pytest.mark.parametrize("tag, linked", [("rational", False), ("gf7", True), ("gf101", True)])
+def test_eigenspace_dimension_by_rank_matches_kernel_basis(tag, linked):
+    # dim W as rep_distance_certificate reads it, N - rank(Omega - chi I), against the
+    # Gauss-Jordan kernel, on the `verma repdist --lambda 1/2` batteries of seeds 1 and 2
+    sl2, field = build_sl(2), field_from_tag(tag)
+    omega = casimir(sl2, field)
+    nonzero = 0
+    for n in (8, 16, 48):
+        rep = build_truncation(sl2, parse_weight(field, "1/2"), n, field)
+        chi = central_character_value(sl2, omega, rep.meta["weight"], field)
+        for seed in (1, 2):
+            for parts in _partition_battery(rep.dim, 10, seed):
+                psi = direct_sum_rep(parts, field)
+                shifted = evaluate_uea(psi, omega) - DenseMatrix.identity(field, psi.dim).scale(chi)
+                dim_w = shifted.kernel_basis().cols
+                assert psi.dim - shifted.rank() == dim_w
+                assert rep_distance_certificate(rep, psi).kernel_dim == dim_w
+                nonzero += dim_w > 0
+    assert (nonzero > 0) == linked

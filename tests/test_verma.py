@@ -28,11 +28,13 @@ from rankstability import (
     separation_certificate,
     weyl_twist,
 )
-from rankstability.exactfield import hstack
+from rankstability.errors import DimensionMismatch
+from rankstability.exactfield import field_from_tag, hstack
 from rankstability.prng import XorShift64Star, random_unimodular
 from rankstability.rankmetric import strict_distance
 from rankstability.verma import (
     _Span,
+    _casimir_character,
     parse_weight,
     reordered_sl2_casimir,
     sl2_lowest_weight_intertwiner,
@@ -330,6 +332,24 @@ def test_sl3_character_closed_form_and_linkage():
     # both simple-reflection shifted weights give the same character
     for linked in ((-a - 2, a + b + 1), (a + b + 1, -b - 2)):
         assert central_character_value(SL3, omega, linked) == chi
+
+
+@pytest.mark.parametrize("tag", ["rational", "gf7", "gf101"])
+def test_cached_casimir_character_matches_straightening(tag):
+    field = field_from_tag(tag)
+    cases = [(SL2, (d,)) for d in range(41)]
+    cases += [(SL2, parse_weight(field, lam)) for lam in ("1/2", "1/3")]
+    cases += [(SL3, parse_weight(field, lam)) for lam in ("1/2,1/3", "0,0", "1,2")]
+    for alg, weight in cases:
+        fresh = central_character_value(alg, casimir(alg, field), weight, field)
+        for _ in range(2):  # the second call reads the cache
+            assert _casimir_character(alg, weight, field) == fresh
+
+
+def test_cached_casimir_character_does_not_keep_errors():
+    for _ in range(3):
+        with pytest.raises(DimensionMismatch, match="weight needs 1 coordinates, got 2"):
+            _casimir_character(SL2, (Fraction(1, 2), Fraction(1, 3)), QQ)
 
 
 def test_casimir_is_central_through_straightening():
