@@ -398,8 +398,8 @@ def central_character_value(
 def _casimir_character(algebra: ChevalleyBasis, weight: tuple, field: ExactField):
     """The quadratic Casimir's central character at `weight`, straightened once per key.
 
-    The weight's coordinates are compared by value, so they must already lie
-    in `field`, as `parse_weight` and a truncation's meta leave them.
+    Weights are keyed by value: coordinates that compare equal, such as an
+    int and the element of `field` it coerces to, have the same character.
     """
     return central_character_value(algebra, casimir(algebra, field), weight, field)
 
