@@ -12,9 +12,9 @@ concatenates the tau-product or, after cancellation, replaces a middle pair
 tau(m) tau(q) by tau(m+q); the multiplicative defect of phi is therefore the
 exact maximum of rk(tau(m) tau(q) - tau(m+q)) over integer pairs, which a
 finite membership-pattern enumeration computes.  It never exceeds 3/n.  A
-family is given by the nonzeros of each tau(j) - I = u v^T, through which it is
+family is given by the nonzeros of each tau(j) - I, through which it is
 validated and scanned: Sherman-Morrison checks tau(-j), and each pattern is
-ranked on a core of at most 2x2.  tau(j) itself is built on first use.
+ranked on its own nonzero rows and columns.  tau(j) itself is built on first use.
 
 The witness word a b a b^2 ... a b^t accumulates tau(1)...tau(t); presets are
 chosen so that product is far from the identity, which pushes every true
@@ -163,9 +163,10 @@ class TauFamily:
     """Symmetric map Z -> GL_n with identity outside a finite support.
 
     Given by its deltas {j: {(i, k): value}}, the nonzero entries of
-    tau(j) - I; tau(j) itself is built on first use.  Required properties,
-    validated on construction: tau(-j) is the inverse of tau(j), and every
-    tau(j) sits within normalized rank 1/n of the identity.
+    D_j = tau(j) - I; tau(j) itself is built on first use.  Required
+    properties, validated on the deltas on construction: every D_j has rank
+    at most 1, so tau(j) sits within normalized rank 1/n of the identity, and
+    tau(-j) is the inverse of tau(j).
     """
 
     def __init__(self, field: ExactField, n: int, deltas: dict, preset: str = "custom"):
@@ -179,24 +180,13 @@ class TauFamily:
             self._deltas[j] = {pos: x for pos, y in delta.items() if (x := field.coerce(y))}
         self._dense: dict[int, DenseMatrix] = {}  # tau(j), one per support element and 0
         self._witness: dict[int, tuple] = {}
-        # j -> (u, v, id of u, id of v) for D_j = tau(j) - I = u v^T != 0: v is the
-        # first nonzero row of D_j, u its column through that row's first nonzero
-        # entry a, over a; both {coordinate: value} dicts.  Parallel ones share an id.
-        self._factors: dict[int, tuple] = {}
-        deltas, ids = self._deltas, {}
+        deltas = self._deltas
         for j, d in sorted(deltas.items()):
             if -j not in deltas:
                 raise ValueError(f"support is not symmetric: {j} present, {-j} missing")
-            if d:
-                (i0, j0), a = min(d.items())  # u leads with 1 at i0 and v with a at j0
-                u = {i: x / a for (i, c), x in d.items() if c == j0}
-                v = {c: x for (i, c), x in d.items() if i == i0}
-                # rank one exactly when D_j is the outer product u v^T
-                if len(u) * len(v) != len(d) or d != {(i, c): x * y for i, x in u.items() for c, y in v.items()}:
-                    raise ValueError(f"tau({j}) is not within rank one of the identity")
-                keys = (tuple(sorted(u.items())), tuple((c, x / a) for c, x in sorted(v.items())))
-                self._factors[j] = (u, v, *[ids.setdefault(key, len(ids)) for key in keys])
-        # tr D_j = v^T u.  If 1 + tr D_j != 0, then (I + u v^T)(I - u v^T / (1 + v^T u)) = I
+            if _rank_of(field, d) > 1:
+                raise ValueError(f"tau({j}) is not within rank one of the identity")
+        # D_j = u v^T has trace v^T u.  If 1 + tr D_j != 0, (I + u v^T)(I - u v^T / (1 + v^T u)) = I
         # (Sherman-Morrison), so tau(j) tau(-j) = I exactly when D_-j = -D_j / (1 + tr D_j).
         # If 1 + tr D_j = 0, then (I + D_j) u = (1 + v^T u) u = 0 with u != 0: tau(j) is singular.
         for j in sorted(j for j in deltas if j > 0):
@@ -215,9 +205,8 @@ class TauFamily:
         return self._dense[j]
 
     def moved(self, j: int) -> frozenset:
-        """Coordinates i where row i or column i of tau(j) differs from I's: supp(u) | supp(v)."""
-        u, v, *_ = self._factors.get(j, ({}, {}))
-        return frozenset(u.keys() | v.keys())
+        """Coordinates i where row i or column i of tau(j) differs from I's: the indices of D_j."""
+        return frozenset(c for pos in self._deltas.get(j, {}) for c in pos)
 
     def witness(self, t: int) -> tuple:
         """(w, phi(w), c) for w = witness_word(t) and c = rk(phi(w) - I_n) / n.
@@ -305,7 +294,7 @@ def exact_defect(tau: TauFamily) -> DefectResult:
     # with s - u escaping.  The latter needs no scan: it is (tau(u) tau(-s) - I) tau(s),
     # the pair (u, -s) ranked above, as -s is in the support and u - s is not.
     for u in support:
-        r = 1 if u in tau._factors else 0
+        r = 1 if tau._deltas[u] else 0
         if r > best:
             best = r
             pair = (u, tau.support_bound * 2 + 1)
@@ -319,49 +308,27 @@ def exact_defect(tau: TauFamily) -> DefectResult:
     return DefectResult(rd, bound, pair)
 
 
-def _basis_rows(vectors, ids) -> list:
-    """Rows of [v_1 ... v_k], of rank 1 or 2, that are a basis of its row space:
-    i1 with v_1[i1] != 0, and for rank 2 an i2 where v_1 and a y have a nonzero minor."""
-    x, i1 = vectors[0], min(vectors[0])
-    y = next((v for v, d in zip(vectors, ids) if d != ids[0]), None)
-    if y is None:
-        return [i1]
-    coords = sorted(x.keys() | y.keys())
-    return [i1, next(i for i in coords if x[i1] * y.get(i, 0) - x.get(i, 0) * y.get(i1, 0))]
-
-
-def _span_rank(tau: TauFamily, vectors, ids) -> int:
-    d = len(set(ids))  # parallel vectors share an id, so 1 or 2 ids is the rank
-    if d < 3 or not vectors[2].keys() <= vectors[0].keys() | vectors[1].keys():
-        return d  # or three, one of them nonzero where the other two are zero
-    entries = {(a, i): x for a, v in enumerate(vectors) for i, x in v.items()}
-    return DenseMatrix.from_entries(tau.field, 3, tau.n, entries).rank()
+def _rank_of(field: ExactField, entries: dict) -> int:
+    """Rank of the {(i, k): value} matrix, built only on the rows and columns its keys name."""
+    rows, cols = {}, {}
+    block = {(rows.setdefault(i, len(rows)), cols.setdefault(k, len(cols))): x for (i, k), x in entries.items()}
+    return DenseMatrix.from_entries(field, len(rows), len(cols), block).rank()
 
 
 def _pattern_rank(tau: TauFamily, terms, product: bool = False) -> int:
-    """Rank of the sum of sign * D_j over the (j, sign) terms, plus D_j1 D_j2 if `product`.
-
-    With D_j = u_j v_j^T this is U W V^T for U = [u_j] and V = [v_j] over the
-    terms with D_j != 0, and W diagonal with the signs (plus v_j1^T u_j2 at
-    (1, 2) for the product), so invertible.  If U has full column rank the
-    rank is rank(V), and the other way round.  Otherwise rows I and J that are
-    bases of the row spaces give U = L U[I], V = L' V[J] with L, L' of full
-    column rank, so the rank is that of U[I] W V[J]^T: the pattern on I x J.
-    """
-    factors = tau._factors
-    live = [(factors[j], sign) for j, sign in terms if j in factors]
-    if not live:
-        return 0
-    us, vs, uids, vids = zip(*(f for f, _ in live))
-    ru, rv = _span_rank(tau, us, uids), _span_rank(tau, vs, vids)
-    if len(live) in (ru, rv):
-        return min(ru, rv)
-    (u1, v1, *_), (u2, v2, *_) = (factors.get(j, ({}, {})) for j, _ in terms[:2])
-    s = sum(v1[i] * x for i, x in u2.items() if i in v1) if product else 0
-    block = {(a, b): sum(sign * u.get(i, 0) * v.get(c, 0) for (u, v, *_), sign in live)
-             + s * u1.get(i, 0) * v2.get(c, 0)
-             for a, i in enumerate(_basis_rows(us, uids)) for b, c in enumerate(_basis_rows(vs, vids))}
-    return DenseMatrix.from_entries(tau.field, ru, rv, block).rank()
+    """Rank of the sum of sign * D_j over the (j, sign) terms, plus D_j1 D_j2 if `product`."""
+    deltas = tau._deltas
+    parts = [(pos, x if sign > 0 else -x) for j, sign in terms for pos, x in deltas.get(j, {}).items()]
+    if product:
+        (m, _), (q, _) = terms[:2]
+        by_row: dict = {}  # D_q's entries by row
+        for (k, c), y in deltas.get(q, {}).items():
+            by_row.setdefault(k, []).append((c, y))
+        parts += [((i, c), x * y) for (i, k), x in deltas.get(m, {}).items() for c, y in by_row.get(k, ())]
+    total: dict = {}
+    for pos, x in parts:
+        total[pos] = total[pos] + x if pos in total else x
+    return _rank_of(tau.field, total)
 
 
 def witness_word(t: int) -> ReducedWord:
@@ -414,20 +381,14 @@ class ExplicitRep(FreeGroupRep):
         self._evals: dict = {}
 
     def _power(self, gen: str, k: int) -> DenseMatrix:
-        key = (gen, k)
-        hit = self._powers.get(key)
-        if hit is not None:
-            return hit
-        if k == 1:
-            out = self._gens[gen]
-        elif k == -1:
-            out = self._gens[gen].inverse()
-        elif k > 0:
-            out = self._power(gen, k - 1) * self._gens[gen]
-        else:
-            out = self._power(gen, k + 1) * self._power(gen, -1)
-        self._powers[key] = out
-        return out
+        """gen^k for k != 0, multiplied up from the highest cached power of k's sign."""
+        powers, step = self._powers, 1 if k > 0 else -1
+        if (gen, step) not in powers:
+            powers[gen, step] = self._gens[gen] if step == 1 else self._gens[gen].inverse()
+        i = next(i for i in range(k, 0, -step) if (gen, i) in powers)
+        for i in range(i, k, step):
+            powers[gen, i + step] = powers[gen, i] * powers[gen, step]
+        return powers[gen, k]
 
     def eval(self, word: ReducedWord) -> DenseMatrix:
         """The image of `word`, multiplied out once per word and instance."""

@@ -326,6 +326,22 @@ def test_exact_defect_of_dense_factors_matches_principal_blocks(tau):
             assert _pattern_rank(tau, ((m, 1), (q, -1))) == (tau.tau(m) - tau.tau(q)).rank()
 
 
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7)])
+def test_pattern_rank_of_cancelling_additive_family(field):
+    # tau(j) = I + j E_{0,1} for |j| <= 3 is additive where it can be, so a
+    # pattern with |m + q| <= 3 sums to explicit zero entries
+    tau = TauFamily(field, 3, {j: {(0, 1): j} for j in range(-3, 4) if j})
+    for m in range(-4, 5):
+        for q in range(-4, 5):
+            dense = (tau.tau(m) * tau.tau(q) - tau.tau(m + q)).rank()
+            if max(abs(m), abs(q), abs(m + q)) <= 3:
+                assert dense == 0
+            assert _pattern_rank(tau, ((m, 1), (q, 1), (m + q, -1)), product=True) == dense
+            assert _pattern_rank(tau, ((m, 1), (q, -1))) == (tau.tau(m) - tau.tau(q)).rank()
+    result = exact_defect(tau)
+    assert (result.defect.numerator, result.witness_pair) == principal_block_defect(tau)
+
 def row0_family(field, n):
     """tau(+-j) = I +- E_{0,j} for 0 < j < n: defect 1, so every pair is scanned."""
     ident = DenseMatrix.identity(field, n)
@@ -600,6 +616,16 @@ def test_monomial_rep_matches_explicit():
         w = word_reduce([alphabet[rng.below(4)] for _ in range(rng.below(8))])
         assert mono.eval(w) == explicit.eval(w)
 
+
+
+@pytest.mark.parametrize("gen", ["a", "b"])
+def test_explicit_rep_powers_are_iterative(gen):
+    # a step per unit of the exponent must not cost a stack frame: 3000 would
+    # pass the default recursion limit
+    g = DenseMatrix(QQ, [[1, 0], [1, 1]])
+    rep = ExplicitRep(g, g)
+    for k in (3000, -3000, 1200, -2999, 3001):
+        assert rep.eval(ReducedWord(((gen, k),))) == DenseMatrix(QQ, [[1, 0], [k, 1]])
 
 # ---------------------------------------------------------------------------
 # pullbacks
