@@ -13,15 +13,16 @@ row.  Over GF(p) a value is its residue in [1, p), and every denominator is
 numerators.  A row is canonical (its denominator and numerators have gcd 1),
 so equal matrices store equal rows.  Every kernel runs on these ints.  Sums
 merge rows over the lcm of their denominators.  Products, and sums of them
-(``product_sum``), run row by row (Gustavson) in one accumulator per row,
-each right factor over one common denominator.  Rank and Gauss-Jordan feed
-the numerators straight into a modular or a fraction-free (Bareiss)
-elimination, which keeps intermediate entries as minors of the input.  Q(i)
-runs the Q kernels on the real form, which sends a + bi to the block
-[[a, -b], [b, a]]: a ring map that doubles the rank.  Rank runs the forward
-half of each elimination, and Gauss-Jordan (behind ``rref``, ``inverse``,
-``kernel_basis``, ``column_space_basis`` and ``solve_right``) the reduced
-form.
+(``product_sum``), run Gustavson's row-wise scheme, each right factor over
+one common denominator.  The accumulator is a dense list or a column dict
+per row, or for hypersparse sums one (row, column) dict for the whole sum.
+Rank and Gauss-Jordan feed the numerators straight into a modular or a
+fraction-free (Bareiss) elimination, which keeps intermediate entries as
+minors of the input.  Q(i) runs the Q kernels on the real form, which sends
+a + bi to the block [[a, -b], [b, a]]: a ring map that doubles the rank.
+Rank runs the forward half of each elimination, and Gauss-Jordan (behind
+``rref``, ``inverse``, ``kernel_basis``, ``column_space_basis`` and
+``solve_right``) the reduced form.
 
 Field elements are made only at the boundary.  ``entry``, ``row``,
 ``column``, ``row_lists``, ``nonzeros`` and ``to_text`` box what they return.
@@ -257,7 +258,10 @@ class FpElement:
         return str(self.v)
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the bases 2..41 proves primality below psi_13 (Sorenson and
+# Webster, 2017); above it a composite can pass, so GF(p) refuses such p.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
@@ -459,6 +463,8 @@ class PrimeField(ExactField):
     kind = "gf"
 
     def __init__(self, p: int):
+        if p >= _MR_LIMIT:
+            raise ValueError(f"GF({p}): primality is proven only below {_MR_LIMIT}")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime; GF({p}) is not a field")
         self.p = p
@@ -882,8 +888,11 @@ def hstack(mats) -> DenseMatrix:
 
 
 def product_sum(pairs) -> DenseMatrix:
-    """A_1 B_1 + ... + A_t B_t for (A_t, B_t) pairs with one product shape, each
-    result row built in one accumulator: no product or partial sum is made."""
+    """A_1 B_1 + ... + A_t B_t for (A_t, B_t) pairs with one product shape, all
+    terms summed in place: no product or partial sum is made.  The estimated
+    flops pick the accumulator: a dense list per row for dense sums, one
+    {(row, column): int} dict for the whole sum for hypersparse ones (at most
+    3 flops per row and term), and a {column: int} dict per row otherwise."""
     pairs = list(pairs)
     a0, b0 = pairs[0]
     for a, b in pairs:
@@ -990,11 +999,16 @@ def _complex_row(row) -> list:
 
 def _product(field, terms, ncols: int) -> list:
     """The (row, den) pairs of A_1 B_1 + ... + A_t B_t for terms (A rows, A dens,
-    B rows, B dens), row by row (Gustavson): each (k, a) of row i of an A adds
-    a * (row k of its B) into one int accumulator.  It is a dense list when an
-    average row does at least ncols / 4 such flops, and a {column: int} dict
-    (Gilbert-Moler-Schreiber's sparse accumulator) otherwise.  Each B goes over
-    one common denominator d_B, and row i over the lcm of the A den[i] * d_B.
+    B rows, B dens) (Gustavson): each (k, a) of row i of an A adds
+    a * (row k of its B) into an int accumulator.  Each B goes over one common
+    denominator d_B, and row i over the lcm of the A den[i] * d_B.  From the
+    estimated flops, the accumulator is
+      - a dense list per row when an average row does at least ncols / 4,
+      - one {(row, column): int} dict for the whole sum when an average row
+        does at most 3 per term (hypersparse: most rows are empty or nearly
+        so, and per-row bookkeeping would cost more than the arithmetic),
+      - a {column: int} dict per row (Gilbert-Moler-Schreiber's sparse
+        accumulator) in between.
     GF(p) reduces mod p; Q(i) runs Q on the real forms.
     """
     if field.kind == "gaussian":
@@ -1010,6 +1024,24 @@ def _product(field, terms, ncols: int) -> list:
         flops += sum(map(len, arows)) * sum(map(len, brows)) // (len(brows) or 1)  # estimated
     rdens = parts[0][2] if len(parts) == 1 else [math.lcm(*ds) for ds in zip(*[ds for _, _, ds in parts])]
     dense, p, out = 4 * flops >= len(rdens) * ncols, field.characteristic, []
+    if not dense and flops <= 3 * len(rdens) * len(parts):
+        acc = {}
+        get = acc.get
+        for arows, bints, ds in parts:
+            for i, arow in enumerate(arows):
+                if arow:
+                    s = rdens[i] // ds[i]  # scales the term's A row to the row's denominator
+                    for k, a in arow:
+                        a *= s
+                        for j, b in bints[k]:
+                            acc[i, j] = get((i, j), 0) + a * b
+        rows = [[] for _ in rdens]
+        for (i, j), v in sorted(acc.items()):  # distinct keys: values are never compared
+            if p:
+                v %= p
+            if v:
+                rows[i].append((j, v))
+        return [(row, 1) if den == 1 or not row else QQ._canon(row, den) for row, den in zip(rows, rdens)]
     for i, den in enumerate(rdens):  # a term's A row is scaled to the row's denominator as it is used
         if dense:
             acc = [0] * ncols

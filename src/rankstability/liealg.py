@@ -260,22 +260,29 @@ class DefectReport:
     to_json = report_json
 
 
-def _commutator_defect(x, y, neg_x, neg_bracket, ident) -> DenseMatrix:
-    """x y - y x - phi([x, y]), given -x and the images summing to -phi([x, y])."""
-    return product_sum([(x, y), (y, neg_x), *[(m, ident) for m in neg_bracket]])
+def _commutator_defect(x, y, neg_x, neg_bracket) -> DenseMatrix:
+    """x y - y x - phi([x, y]), given -x and (A, B) pairs whose products A B sum
+    to -phi([x, y]): an image times -c I for each bracket coefficient c, so no
+    scaled copy of an image is made."""
+    return product_sum([(x, y), (y, neg_x), *neg_bracket])
 
 
 def pointwise_defect(rep: AlmostRep) -> DefectReport:
     """Exact max over basis pairs of rk([phi(z_i), phi(z_j)] - phi([z_i, z_j]))."""
     alg = rep.algebra
     ident = DenseMatrix.identity(rep.field, rep.dim)
+    neg_ident = {}  # -c I for each bracket coefficient c, built once
     best = 0
     worst = ("", "")
     for i in range(alg.dim):
         mi, neg_i = rep.images[i], -rep.images[i]  # one negated image alive at a time
         for j in range(i + 1, alg.dim):
-            neg_bracket = [rep.images[k].scale(-c) for k, c in alg.bracket_table(i, j).items()]
-            r = _commutator_defect(mi, rep.images[j], neg_i, neg_bracket, ident).rank()
+            neg_bracket = []
+            for k, c in alg.bracket_table(i, j).items():
+                if c not in neg_ident:
+                    neg_ident[c] = ident.scale(-c)
+                neg_bracket.append((rep.images[k], neg_ident[c]))
+            r = _commutator_defect(mi, rep.images[j], neg_i, neg_bracket).rank()
             if r > best:
                 best = r
                 worst = (alg.label(i), alg.label(j))
@@ -298,8 +305,8 @@ def sampled_defect(rep: AlmostRep, trials: int, seed: int) -> DefectReport:
         x = {i: rng.randint(-3, 3) for i in range(alg.dim)}
         y = {i: rng.randint(-3, 3) for i in range(alg.dim)}
         mx, my = rep.apply_coords(x), rep.apply_coords(y)
-        neg_bracket = [-rep.apply_coords(alg.bracket_coords(x, y))]
-        best = max(best, _commutator_defect(mx, my, -mx, neg_bracket, ident).rank())
+        neg_bracket = [(-rep.apply_coords(alg.bracket_coords(x, y)), ident)]
+        best = max(best, _commutator_defect(mx, my, -mx, neg_bracket).rank())
     pw = RankDistance(best, rep.dim)
     return DefectReport(pw, Fraction(alg.dim**2) * pw.value, worst, rep.dim)
 
