@@ -33,6 +33,16 @@ class XorShift64Star:
         """Uniform integer in [0, n).  Uses rejection to avoid modulo bias."""
         if n <= 0:
             raise ValueError("below() needs a positive bound")
+        if n > _MASK + 1:  # a draw takes ceil(bits / 64) words, the first one highest
+            words = -(-(n - 1).bit_length() // 64)
+            span = 1 << 64 * words
+            limit = span - span % n  # the largest multiple of n below 2**(64 * words)
+            while True:
+                x = 0
+                for _ in range(words):
+                    x = x << 64 | self.next_u64()
+                if x < limit:
+                    return x % n
         limit = _MASK - (_MASK + 1) % n
         while True:
             x = self.next_u64()
