@@ -271,17 +271,14 @@ def pointwise_defect(rep: AlmostRep) -> DefectReport:
     """Exact max over basis pairs of rk([phi(z_i), phi(z_j)] - phi([z_i, z_j]))."""
     alg = rep.algebra
     ident = DenseMatrix.identity(rep.field, rep.dim)
-    neg_ident = {}  # -c I for each bracket coefficient c, built once
+    coeffs = {c for entry in alg._table.values() for c in entry.values()}
+    neg_ident = {c: ident.scale(-c) for c in coeffs}  # -c I for each structure constant c
     best = 0
     worst = ("", "")
     for i in range(alg.dim):
         mi, neg_i = rep.images[i], -rep.images[i]  # one negated image alive at a time
         for j in range(i + 1, alg.dim):
-            neg_bracket = []
-            for k, c in alg.bracket_table(i, j).items():
-                if c not in neg_ident:
-                    neg_ident[c] = ident.scale(-c)
-                neg_bracket.append((rep.images[k], neg_ident[c]))
+            neg_bracket = [(rep.images[k], neg_ident[c]) for k, c in alg.bracket_table(i, j).items()]
             r = _commutator_defect(mi, rep.images[j], neg_i, neg_bracket).rank()
             if r > best:
                 best = r
