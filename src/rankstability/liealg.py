@@ -271,8 +271,9 @@ def pointwise_defect(rep: AlmostRep) -> DefectReport:
     """Exact max over basis pairs of rk([phi(z_i), phi(z_j)] - phi([z_i, z_j]))."""
     alg = rep.algebra
     ident = DenseMatrix.identity(rep.field, rep.dim)
-    coeffs = {c for entry in alg._table.values() for c in entry.values()}
-    neg_ident = {c: ident.scale(-c) for c in coeffs}  # -c I for each structure constant c
+    coeffs = {c for i in range(alg.dim) for j in range(i + 1, alg.dim)
+              for c in alg.bracket_table(i, j).values()}
+    neg_ident = {c: ident.scale(-c) for c in coeffs}  # -c I for each bracket coefficient c
     best = 0
     worst = ("", "")
     for i in range(alg.dim):

@@ -36,7 +36,7 @@ class XorShift64Star:
         if n > _MASK + 1:  # a draw takes ceil(bits / 64) words, the first one highest
             words = -(-(n - 1).bit_length() // 64)
             span = 1 << 64 * words
-            limit = span - span % n  # the largest multiple of n below 2**(64 * words)
+            limit = span - span % n  # the largest multiple of n up to 2**(64 * words)
             while True:
                 x = 0
                 for _ in range(words):
