@@ -262,8 +262,8 @@ class DefectReport:
 
 def _commutator_defect(x, y, neg_x, neg_bracket) -> DenseMatrix:
     """x y - y x - phi([x, y]), given -x and (A, B) pairs whose products A B sum
-    to -phi([x, y]): an image times -c I for each bracket coefficient c, so no
-    scaled copy of an image is made."""
+    to -phi([x, y]), such as (phi(z_k), -c I) for each bracket coefficient c:
+    no scaled copy of an image is made."""
     return product_sum([(x, y), (y, neg_x), *neg_bracket])
 
 

@@ -33,7 +33,8 @@ class XorShift64Star:
         """Uniform integer in [0, n).  Uses rejection to avoid modulo bias."""
         if n <= 0:
             raise ValueError("below() needs a positive bound")
-        if n > _MASK + 1:  # a draw takes ceil(bits / 64) words, the first one highest
+        limit = _MASK - (_MASK + 1) % n
+        if limit < 0:  # n > 2**64: a draw takes ceil(bits / 64) words, the first one highest
             words = -(-(n - 1).bit_length() // 64)
             span = 1 << 64 * words
             limit = span - span % n  # the largest multiple of n up to 2**(64 * words)
@@ -43,7 +44,6 @@ class XorShift64Star:
                     x = x << 64 | self.next_u64()
                 if x < limit:
                     return x % n
-        limit = _MASK - (_MASK + 1) % n
         while True:
             x = self.next_u64()
             if x <= limit:
