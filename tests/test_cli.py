@@ -361,6 +361,16 @@ def test_fractional_weight_over_prime_field(capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_prime_field_beyond_two_to_the_64(capsys):
+    code, out, err = run_cli(capsys, "verma", "repdist", "--lambda", "1/2", "--n", "16",
+                             "--field", "gf318665857834031151167461")  # composite: 399165290221 * 798330580441
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    code, out, _ = run_cli(capsys, "compress", "check", "--n", "4", "--k", "3", "--trials", "1",
+                           "--field", "gf18446744073709551629")  # the prime 2**64 + 13
+    assert code == 0 and strip_timing(out)["pass"] is True
+
+
 def test_witness_exponent_zero_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rolli", "witness", "--n", "5", "--t", "0"])

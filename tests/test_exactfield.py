@@ -37,6 +37,21 @@ def test_prime_field_rejects_composite():
     assert GF(101).p == 101
 
 
+PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441, a strong pseudoprime to the bases 2..37
+PSI_13 = 3317044064679887385961981  # the least strong pseudoprime to the bases 2..41
+
+
+@pytest.mark.parametrize("p", [PSI_12, PSI_13])
+def test_prime_field_refuses_what_miller_rabin_cannot_prove(p):
+    with pytest.raises(ValueError):
+        GF(p)
+
+
+@pytest.mark.parametrize("p", [2**64 - 59, 2**64 + 13, 2**80 - 65])
+def test_prime_field_accepts_large_primes(p):
+    assert GF(p).p == p
+
+
 def test_fp_element_canonical_range():
     f = GF(7)
     x = f.coerce(-3)
@@ -580,11 +595,27 @@ def sparse_matrices(draw, field, rows, cols):
 
 
 @st.composite
+def thin_matrices(draw, field, rows, cols):
+    """A rows-by-cols matrix with at most one nonzero entry in each row."""
+    entries = {}
+    for i in range(rows):
+        if draw(st.booleans()):
+            entries[(i, draw(st.integers(0, cols - 1)))] = draw(scalars(field, 4))
+    return DenseMatrix.from_entries(field, rows, cols, entries)
+
+
+@st.composite
 def product_sum_cases(draw):
-    """1 to 3 (A, B) pairs: small matrices of any density (the dense accumulator),
-    or wide ones with one or two nonzeros per row (the sparse one)."""
+    """(A, B) pairs: 1 to 3 small matrices of any density (the dense accumulator),
+    wide ones with one or two nonzeros per row (the per-row sparse one), or 1
+    to 4 tall ones with at most one nonzero per row (the hypersparse one)."""
     field = draw(st.sampled_from(CANONICAL_FIELDS))
-    wide = draw(st.booleans())
+    kind = draw(st.sampled_from(["small", "wide", "tall"]))
+    if kind == "tall":
+        r, c = draw(st.integers(8, 40)), draw(st.integers(8, 40))
+        return field, [(draw(thin_matrices(field, r, k)), draw(thin_matrices(field, k, c)))
+                       for k in draw(st.lists(st.integers(1, 24), min_size=1, max_size=4))]
+    wide = kind == "wide"
     make = sparse_matrices if wide else matrices
     r, c = (draw(st.integers(1, 4)), draw(st.integers(48, 64))) if wide else (draw(st.integers(0, 4)), draw(st.integers(0, 4)))
     pairs = []
@@ -625,6 +656,27 @@ def test_product_sum_rows_over_differing_denominators(field):
     assert got._data[0] == [] and got._den[0] == 1
     assert_canonical(got)
     assert product_sum([(a1, ident), (-a1, ident)]) == DenseMatrix.zeros(field, 2, 3)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), QQI])
+@pytest.mark.parametrize("a_nonzeros", [12, 13])
+def test_product_sum_either_side_of_the_hypersparse_rule(field, a_nonzeros):
+    # Two 4x4 by 4x32 terms, each B with one entry a row.  The flops estimate
+    # is a_nonzeros + 12: at most 3 * rows * terms = 24 only for 12, so 12 sums
+    # in the (row, column) dict and 13 in the per-row one; 4 * 25 < 4 * 32
+    # keeps both off the dense list.  Over Q(i) B1 is imaginary, whose real
+    # form has as many nonzeros a row, so the estimate is the same.
+    unit = GaussianRational(0, 1) if field == QQI else 1
+    a1 = DenseMatrix.from_entries(field, 4, 4, {divmod(e, 4): Fraction(e % 4 + 1, e // 4 + 2) for e in range(a_nonzeros)})
+    a2 = DenseMatrix.from_entries(field, 4, 4, {divmod(e, 4): Fraction(-1, e % 3 + 1) for e in range(12)})
+    b1 = DenseMatrix.from_entries(field, 4, 32, {(t, 7 * t % 32): unit * Fraction(-1, t + 1) for t in range(4)})
+    b2 = DenseMatrix.from_entries(field, 4, 32, {(t, (7 * t + 7) % 32): Fraction(t + 2, 3) for t in range(4)})
+    pairs = [(a1, b1), (a2, b2)]
+    got = product_sum(pairs)
+    assert got.row_lists() == [[sum(xs, field.zero) for xs in zip(*rows)]
+                               for rows in zip(*[reference_product(a, b) for a, b in pairs])]
+    assert got == a1 * b1 + a2 * b2
+    assert_canonical(got)
 
 
 def test_product_sum_rejects_mismatched_terms():
@@ -684,6 +736,46 @@ def test_from_entries_coerces_its_values():
     assert half.row(0) == (GaussianRational(Fraction(1, 2), 3), GaussianRational(Fraction(1, 3), -1))
     with pytest.raises(TypeError):
         DenseMatrix.from_entries(QQ, 1, 1, {(0, 0): 0.5})
+
+
+FIRST_DRAWS = {  # XorShift64Star(seed).below(n), three times, as the one-word path draws them
+    0: {
+        7: [3, 2, 0],
+        4294967311: [3479813707, 4202570395, 610324016],
+        9223372036854775809: [973819730272012410, 6108091081255984487, 9038174178950858617],
+        18446744073709551557: [973819730272012410, 6108091081255984487, 12125365036566318712],
+        18446744073709551616: [973819730272012410, 6108091081255984487, 12125365036566318712],
+    },
+    1: {
+        7: [5, 1, 4],
+        4294967311: [1392822004, 3478036955, 137581708],
+        9223372036854775809: [5180492295206395165, 5599127315341312413, 1036278371763004928],
+        18446744073709551557: [5180492295206395165, 12380297144915551517, 13389498078930870103],
+        18446744073709551616: [5180492295206395165, 12380297144915551517, 13389498078930870103],
+    },
+    12345: {
+        7: [4, 0, 5],
+        4294967311: [3704094333, 4266971955, 1691892606],
+        9223372036854775809: [1412386850724336324, 2204759546661399375, 3884182425906045667],
+        18446744073709551557: [10977518812293740004, 13893246733018840292, 1412386850724336324],
+        18446744073709551616: [10977518812293740004, 13893246733018840292, 1412386850724336324],
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FIRST_DRAWS))
+def test_below_draws_stay_pinned_up_to_two_to_the_64(seed):
+    for n, draws in FIRST_DRAWS[seed].items():
+        rng = XorShift64Star(seed)
+        assert [rng.below(n) for _ in draws] == draws
+
+
+@pytest.mark.parametrize("n", [2**64 + 13, 2**80 - 65])
+def test_below_draws_bounds_beyond_one_word(n):
+    rng = XorShift64Star(5)
+    draws = [rng.below(n) for _ in range(200)]
+    assert all(0 <= x < n for x in draws)
+    assert max(draws) >= n // 2  # the draws reach the top half, beyond one word for 2**80 - 65
 
 
 def random_scalar(field, rng, lo=-4, hi=4):

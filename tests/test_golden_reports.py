@@ -1,4 +1,5 @@
-"""Pinned outputs: every README command, the five demos and the sweep example.
+"""Pinned outputs: every README command, five commands at stretch sizes, the
+five demos and the sweep example.
 
 Each output is reduced to a sha256 digest after removing what may vary
 between identical runs: the report's ``timing`` key, normalised as the
@@ -7,7 +8,8 @@ JSON lines before it and CSV rows after it kept as printed).  Demo stdout is
 digested as printed.  A change to any kernel that alters a report fails here.
 
 The digests were recorded before sparse-row storage replaced the dense rows
-of ``DenseMatrix``.  After an intended output change, print the new table
+of ``DenseMatrix``, the stretch-size ones before ``product_sum`` gained its
+hypersparse accumulator.  After an intended output change, print the new table
 with ``PYTHONPATH=src python tests/test_golden_reports.py`` and review it.
 """
 
@@ -42,6 +44,15 @@ README_COMMANDS = [
     "compress check --n 6 --k 4 --trials 100 --field gf7 --seed 1",
     "field selftest --trials 25 --seed 1",
 ]
+# Stretch sizes of the kernels the README examples run small: sl3 defects
+# above n = 6 and over GF(p) and Q(i), sl2 repdist and a rolli defect.
+STRETCH_COMMANDS = [
+    "verma defect --algebra sl3 --lambda 1/2,1/3 --n 9",
+    "verma defect --algebra sl3 --lambda 1/2,1/3 --n 9 --field gf101",
+    "verma defect --algebra sl3 --lambda 1/2,1/3 --n 5 --field gaussian",
+    "verma repdist --lambda 1/2 --n 128 --battery 10 --seed 1",
+    "rolli defect --preset transposition --n 512",
+]
 SWEEP = "sweep --config demos/sweep_example.json"
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0*.py"))
 
@@ -65,6 +76,11 @@ GOLDEN = {
     "03_truncated_highest_weight.py": "a70f6490fd58ae00ac06947cf2dd985a6632984c9c749685e947f25d447270d0",
     "04_character_separation.py": "5356015d5011d0f3a17f940944938be93ef4564d7d23322b5eff31f15d467fd5",
     "05_free_group_maps.py": "8bd306602cfd74c69ae470a3be4d1eaaee9402d5bce288dfe9ccf4b93c6d3c6d",
+    "verma defect --algebra sl3 --lambda 1/2,1/3 --n 9": "020803d3cbf4aa1c016e8fabe2ca9f5cfb83b3fede11e5cc1e506fd06f089554",
+    "verma defect --algebra sl3 --lambda 1/2,1/3 --n 9 --field gf101": "2ee8a2da09c926c64e73b3a425fcb0ad1bf34deb972a6805952a7cc3580bf22a",
+    "verma defect --algebra sl3 --lambda 1/2,1/3 --n 5 --field gaussian": "8a12c118781355d65e4bb204d5b3af6855be664b97663df215449d222be5b3d4",
+    "verma repdist --lambda 1/2 --n 128 --battery 10 --seed 1": "c2e20fdaad8344d14060b0c7bd44fd3f5c7120f3edfac77eb32a5098d00ffe29",
+    "rolli defect --preset transposition --n 512": "55b49c1b104ccd2599a198b835d7220d7de897a2c6215daec8a072fe736da5df",
 }
 
 
@@ -101,7 +117,7 @@ def _run(command: str, workdir: Path) -> str:
 
 def digests(workdir: Path) -> dict:
     """The current digest of every pinned output, keyed as in GOLDEN."""
-    out = {command: normalise(_run(command, workdir)) for command in README_COMMANDS}
+    out = {command: normalise(_run(command, workdir)) for command in README_COMMANDS + STRETCH_COMMANDS}
     out["verma build rep.txt"] = _sha((workdir / "rep.txt").read_text())
     out[SWEEP] = normalise(_run(SWEEP, ROOT))  # the report names the config path
     for name in DEMOS:
