@@ -33,20 +33,16 @@ class XorShift64Star:
         """Uniform integer in [0, n).  Uses rejection to avoid modulo bias."""
         if n <= 0:
             raise ValueError("below() needs a positive bound")
-        limit = _MASK - (_MASK + 1) % n
-        if limit < 0:  # n > 2**64: a draw takes ceil(bits / 64) words, the first one highest
-            words = -(-(n - 1).bit_length() // 64)
-            span = 1 << 64 * words
-            limit = span - span % n  # the largest multiple of n up to 2**(64 * words)
-            while True:
-                x = 0
-                for _ in range(words):
-                    x = x << 64 | self.next_u64()
-                if x < limit:
-                    return x % n
+        # A draw takes ceil(bits / 64) words, the first one highest, and is
+        # rejected at or above the largest multiple of n up to 2**(64 * words).
+        words = ((n - 1).bit_length() + 63) >> 6 or 1
+        span = 1 << 64 * words
+        limit = span - span % n
         while True:
             x = self.next_u64()
-            if x <= limit:
+            for _ in range(1, words):
+                x = x << 64 | self.next_u64()
+            if x < limit:
                 return x % n
 
     def randint(self, lo: int, hi: int) -> int:
